@@ -1,10 +1,12 @@
 """Child-side executor: runs one VM start's worth of iterations.
 
 Protocol: the parent writes a single JSON job document to the child's
-standard input; the child replies with one JSON result line on standard
-output (the last line, so a stdout-targeted write workload does not corrupt
-the channel).  Exit code 0 means success; on failure a structured JSON error
-is written to standard error and the exit code is nonzero.
+standard input: ``{"config": ..., "workload": ..., "clock": ...,
+"cpu_affinity": ...}``, the first two in the layout of
+:meth:`MeasurementConfig.to_dict` and :meth:`WorkloadSpec.to_dict`.  The
+child replies with one JSON result line on standard output.  Exit code 0
+means success; on failure a structured JSON error is written to standard
+error and the exit code is nonzero.
 
 The clock is injected through :func:`clock_from_spec`, so tests and jobs can
 substitute a deterministic counter for the monotonic hardware clock.
@@ -19,8 +21,8 @@ import sys
 import time
 
 from . import workloads
-from .model import WorkloadKind, WorkloadSpec
-from .workloads import create_instance, drain_sink
+from .model import MeasurementConfig, WorkloadSpec
+from .workloads import create_instance
 
 
 class ClockError(RuntimeError):
@@ -81,35 +83,31 @@ def execute_job(job: dict, clock=None) -> dict:
     executions_at_start = _EXECUTED_CAMPAIGNS
     _EXECUTED_CAMPAIGNS += 1
 
-    wl = job["workload"]
-    spec = WorkloadSpec(
-        kind=WorkloadKind(wl["kind"]),
-        size=wl["size"],
-        injected_delay_ns=wl.get("injected_delay_ns", 0),
-        seed=wl.get("seed", 0),
-        delay_subset_fraction=wl.get("delay_subset_fraction", 1.0),
-    )
-    warmup_iterations = job["warmup_iterations"]
-    measurement_iterations = job["measurement_iterations"]
-    repetitions = job["repetitions"]
-    trigger_gc = job.get("trigger_gc_between_iterations", False)
-
+    config = MeasurementConfig.from_dict(job.get("config"), "config")
+    spec = WorkloadSpec.from_dict(job.get("workload"), "workload")
     workloads.check_memory_budget(
         spec,
-        iterations=warmup_iterations + measurement_iterations,
-        repetitions=repetitions,
-        budget_bytes=job.get("mem_budget_bytes"),
+        iterations=config.warmup_iterations + config.measurement_iterations,
+        repetitions=config.repetitions,
     )
 
     if clock is None:
         clock = clock_from_spec(job.get("clock"))
     resolution_ns = clock.resolution_ns()
 
-    instance = create_instance(spec, write_target=job.get("write_target", "memory"))
+    instance = create_instance(spec)
 
+    # Enter the timed loop with empty young generations, so where a
+    # collection lands among the windows depends on the workload's own
+    # allocations and not on how many objects the child's imports left behind.
+    gc.collect()
     warmup_ns: list[int] = []
     measurement_ns: list[int] = []
-    for bucket, count in ((warmup_ns, warmup_iterations), (measurement_ns, measurement_iterations)):
+    repetitions = config.repetitions
+    for bucket, count in (
+        (warmup_ns, config.warmup_iterations),
+        (measurement_ns, config.measurement_iterations),
+    ):
         for _ in range(count):
             start = clock.read()
             instance.run_repetitions(repetitions)
@@ -117,8 +115,8 @@ def execute_job(job: dict, clock=None) -> dict:
             if end < start:
                 raise ClockError(f"clock went backwards: start={start}, end={end}")
             bucket.append(end - start)
-            drain_sink(instance)
-            if trigger_gc:
+            instance.drain()
+            if config.trigger_gc_between_iterations:
                 gc.collect()
 
     return {

@@ -47,23 +47,12 @@ def _build_job(
     clock,
     cpu_affinity: list[int] | None = None,
 ) -> dict:
-    job = {
-        "workload": {
-            "kind": workload.kind.value,
-            "size": workload.size,
-            "injected_delay_ns": workload.injected_delay_ns,
-            "seed": workload.seed,
-            "delay_subset_fraction": workload.delay_subset_fraction,
-        },
-        "warmup_iterations": config.warmup_iterations,
-        "measurement_iterations": config.measurement_iterations,
-        "repetitions": config.repetitions,
-        "trigger_gc_between_iterations": config.trigger_gc_between_iterations,
+    return {
+        "config": config.to_dict(),
+        "workload": workload.to_dict(),
         "clock": _clock_job_entry(clock),
+        "cpu_affinity": cpu_affinity,
     }
-    if cpu_affinity:
-        job["cpu_affinity"] = cpu_affinity
-    return job
 
 
 def _spawn(job: dict) -> subprocess.Popen:
@@ -80,7 +69,11 @@ def _spawn(job: dict) -> subprocess.Popen:
     proc.stdin = None  # communicate() must not touch the already-closed pipe
     return proc
 
-def _finish(proc: subprocess.Popen, vm_index: int, version: str | None = None) -> dict:
+
+def _finish(
+    proc: subprocess.Popen, vm_index: int, version: str | None = None
+) -> tuple[VmRun, int]:
+    """Wait for an executor and turn its result into a run and its clock resolution."""
     out, err = proc.communicate()
     if proc.returncode != 0:
         raise CampaignError(vm_index, err.strip() or f"exit code {proc.returncode}", version)
@@ -97,7 +90,10 @@ def _finish(proc: subprocess.Popen, vm_index: int, version: str | None = None) -
             f"executor was not fresh (counter={result.get('executions_at_start')})",
             version,
         )
-    return result
+    return (
+        VmRun(vm_index, tuple(result["warmup_ns"]), tuple(result["measurement_ns"])),
+        result["clock_resolution_ns"],
+    )
 
 
 def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:
@@ -129,15 +125,9 @@ def run_campaign(
         job = _build_job(config, workload, clock)
         if launch_log is not None:
             launch_log.append({"epoch": vm_index, "members": [("only", vm_index)]})
-        result = _finish(_spawn(job), vm_index)
-        resolution = result["clock_resolution_ns"] if resolution is None else resolution
-        runs.append(
-            VmRun(
-                vm_index=vm_index,
-                warmup_ns=tuple(result["warmup_ns"]),
-                measurement_ns=tuple(result["measurement_ns"]),
-            )
-        )
+        run, run_resolution = _finish(_spawn(job), vm_index)
+        resolution = run_resolution if resolution is None else resolution
+        runs.append(run)
     return MeasurementSeries(
         config=config,
         workload=workload,
@@ -190,15 +180,16 @@ def run_paired_campaign(
                 )
             proc_old = _spawn(_build_job(config, workload_old, clock, cpu_old))
             proc_new = _spawn(_build_job(config, workload_new, clock, cpu_new))
-            result_old = _finish(proc_old, vm_index, "old")
-            result_new = _finish(proc_new, vm_index, "new")
-            resolution = result_old["clock_resolution_ns"] if resolution is None else resolution
-            runs_old.append(
-                VmRun(vm_index, tuple(result_old["warmup_ns"]), tuple(result_old["measurement_ns"]))
-            )
-            runs_new.append(
-                VmRun(vm_index, tuple(result_new["warmup_ns"]), tuple(result_new["measurement_ns"]))
-            )
+            try:
+                run_old, run_resolution = _finish(proc_old, vm_index, "old")
+            except BaseException:
+                proc_new.kill()
+                proc_new.communicate()
+                raise
+            run_new, _ = _finish(proc_new, vm_index, "new")
+            resolution = run_resolution if resolution is None else resolution
+            runs_old.append(run_old)
+            runs_new.append(run_new)
     else:
         epoch = 0
         for vm_index in range(config.vms):
@@ -209,11 +200,11 @@ def run_paired_campaign(
                 if launch_log is not None:
                     launch_log.append({"epoch": epoch, "members": [(version, vm_index)]})
                 epoch += 1
-                result = _finish(_spawn(_build_job(config, workload, clock)), vm_index, version)
-                resolution = result["clock_resolution_ns"] if resolution is None else resolution
-                runs.append(
-                    VmRun(vm_index, tuple(result["warmup_ns"]), tuple(result["measurement_ns"]))
+                run, run_resolution = _finish(
+                    _spawn(_build_job(config, workload, clock)), vm_index, version
                 )
+                resolution = run_resolution if resolution is None else resolution
+                runs.append(run)
 
     environment = _environment_metadata(resolution)
     timestamp = utc_now()

@@ -15,7 +15,7 @@ from .harness import CampaignError, run_paired_campaign
 from .model import DecisionConfig, MeasurementConfig, MeasurementSeries, WorkloadSpec
 from .power import type_ii_error
 from .stats import decide, summarize
-from .workloads import SplitMix64, busy_wait_ns
+from .workloads import _GOLDEN, SplitMix64, busy_wait_ns
 
 #: Default delay grid for studies, anchored at the smallest interesting delta.
 DEFAULT_DELTA_GRID_NS = (0, 5, 50, 500)
@@ -72,11 +72,12 @@ def measure_busywait_quantum() -> int:
 
 
 def _trial_seed(seed: int, trial: int) -> int:
-    rng = SplitMix64(seed)
-    value = rng.next_u64()
-    for _ in range(trial):
-        value = rng.next_u64()
-    return value
+    """Output number ``trial`` (from 0) of ``SplitMix64(seed)``.
+
+    Output k is the first output of a generator whose state starts k
+    increments further along, so no earlier output is generated.
+    """
+    return SplitMix64(seed + trial * _GOLDEN).next_u64()
 
 
 def run_injection_study(
@@ -190,26 +191,11 @@ def predict_detectability(
 
 def study_to_document(report: StudyReport) -> dict:
     return {
-        "workload": {
-            "kind": report.workload.kind.value,
-            "size": report.workload.size,
-            "seed": report.workload.seed,
-        },
+        "workload": report.workload.to_dict(),
         "delta_ns": report.delta_ns,
         "subset_fraction": report.subset_fraction,
-        "config": {
-            "vms": report.config.vms,
-            "warmup_iterations": report.config.warmup_iterations,
-            "measurement_iterations": report.config.measurement_iterations,
-            "repetitions": report.config.repetitions,
-            "trigger_gc_between_iterations": report.config.trigger_gc_between_iterations,
-            "parallel_pairs": report.config.parallel_pairs,
-        },
-        "decision": {
-            "test": report.decision.test.value,
-            "alpha": report.decision.alpha,
-            "outlier_z": report.decision.outlier_z,
-        },
+        "config": report.config.to_dict(),
+        "decision": report.decision.to_dict(),
         "trials": report.trials,
         "detections": report.detections,
         "erroneous": report.erroneous,

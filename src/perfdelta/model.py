@@ -10,7 +10,7 @@ concurrent readers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any, Mapping
@@ -47,6 +47,31 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _to_dict(config) -> dict[str, Any]:
+    """The JSON layout of a config type: every field in declaration order,
+    enums by value."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        doc[f.name] = value.value if isinstance(value, Enum) else value
+    return doc
+
+
+def _expect_object(doc: Any, path: str) -> Mapping[str, Any]:
+    if not isinstance(doc, dict):
+        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
+    return doc
+
+
+def _expect(doc: Mapping[str, Any], key: str, kind: type | tuple[type, ...], path: str) -> Any:
+    if key not in doc:
+        raise SchemaError(f"{path}{key}", "missing field")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError(f"{path}{key}", f"expected {kind}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Full parametrization of one measurement campaign.
@@ -74,6 +99,24 @@ class MeasurementConfig:
         )
         _require(self.repetitions >= 1, "config.repetitions", "must be >= 1")
 
+    def to_dict(self) -> dict[str, Any]:
+        return _to_dict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Any, path: str) -> MeasurementConfig:
+        """Strictly decode :meth:`to_dict` output; errors name ``path.<field>``."""
+        doc, prefix = _expect_object(doc, path), f"{path}."
+        return cls(
+            vms=_expect(doc, "vms", int, prefix),
+            warmup_iterations=_expect(doc, "warmup_iterations", int, prefix),
+            measurement_iterations=_expect(doc, "measurement_iterations", int, prefix),
+            repetitions=_expect(doc, "repetitions", int, prefix),
+            trigger_gc_between_iterations=_expect(
+                doc, "trigger_gc_between_iterations", bool, prefix
+            ),
+            parallel_pairs=_expect(doc, "parallel_pairs", bool, prefix),
+        )
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -99,6 +142,28 @@ class WorkloadSpec:
             0.0 <= self.delay_subset_fraction <= 1.0,
             "workload.delay_subset_fraction",
             "must be in [0, 1]",
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        return _to_dict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Any, path: str) -> WorkloadSpec:
+        """Strictly decode :meth:`to_dict` output; errors name ``path.<field>``."""
+        doc, prefix = _expect_object(doc, path), f"{path}."
+        kind_name = _expect(doc, "kind", str, prefix)
+        try:
+            kind = WorkloadKind(kind_name)
+        except ValueError as exc:
+            raise SchemaError(f"{prefix}kind", f"unknown kind {kind_name!r}") from exc
+        return cls(
+            kind=kind,
+            size=_expect(doc, "size", int, prefix),
+            injected_delay_ns=_expect(doc, "injected_delay_ns", int, prefix),
+            seed=_expect(doc, "seed", int, prefix),
+            delay_subset_fraction=float(
+                _expect(doc, "delay_subset_fraction", (int, float), prefix)
+            ),
         )
 
 
@@ -178,6 +243,9 @@ class DecisionConfig:
         if self.outlier_z is not None:
             _require(self.outlier_z > 0, "decision.outlier_z", "must be > 0")
 
+    def to_dict(self) -> dict[str, Any]:
+        return _to_dict(self)
+
 
 @dataclass(frozen=True)
 class SeriesSummary:
@@ -202,21 +270,8 @@ class SeriesSummary:
 def _series_to_document(series: MeasurementSeries) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "vms": series.config.vms,
-            "warmup_iterations": series.config.warmup_iterations,
-            "measurement_iterations": series.config.measurement_iterations,
-            "repetitions": series.config.repetitions,
-            "trigger_gc_between_iterations": series.config.trigger_gc_between_iterations,
-            "parallel_pairs": series.config.parallel_pairs,
-        },
-        "workload": {
-            "kind": series.workload.kind.value,
-            "size": series.workload.size,
-            "injected_delay_ns": series.workload.injected_delay_ns,
-            "seed": series.workload.seed,
-            "delay_subset_fraction": series.workload.delay_subset_fraction,
-        },
+        "config": series.config.to_dict(),
+        "workload": series.workload.to_dict(),
         "timestamp": series.timestamp.isoformat(),
         "environment": dict(series.environment),
         "vm_runs": [
@@ -236,15 +291,6 @@ def serialize_series(series: MeasurementSeries) -> bytes:
     Nanosecond counts are emitted as JSON integers, never floats.
     """
     return json.dumps(_series_to_document(series), indent=2).encode("utf-8") + b"\n"
-
-
-def _expect(doc: Mapping[str, Any], key: str, kind: type | tuple[type, ...], path: str) -> Any:
-    if key not in doc:
-        raise SchemaError(f"{path}{key}", "missing field")
-    value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaError(f"{path}{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
 
 
 def _int_list(values: Any, path: str) -> list[int]:
@@ -277,33 +323,8 @@ def deserialize_series(data: bytes | str) -> MeasurementSeries:
             "format_version", f"unsupported version {version!r}, expected {FORMAT_VERSION!r}"
         )
 
-    cfg = _expect(doc, "config", dict, "")
-    config = MeasurementConfig(
-        vms=_expect(cfg, "vms", int, "config."),
-        warmup_iterations=_expect(cfg, "warmup_iterations", int, "config."),
-        measurement_iterations=_expect(cfg, "measurement_iterations", int, "config."),
-        repetitions=_expect(cfg, "repetitions", int, "config."),
-        trigger_gc_between_iterations=_expect(
-            cfg, "trigger_gc_between_iterations", bool, "config."
-        ),
-        parallel_pairs=_expect(cfg, "parallel_pairs", bool, "config."),
-    )
-
-    wl = _expect(doc, "workload", dict, "")
-    kind_name = _expect(wl, "kind", str, "workload.")
-    try:
-        kind = WorkloadKind(kind_name)
-    except ValueError as exc:
-        raise SchemaError("workload.kind", f"unknown kind {kind_name!r}") from exc
-    workload = WorkloadSpec(
-        kind=kind,
-        size=_expect(wl, "size", int, "workload."),
-        injected_delay_ns=_expect(wl, "injected_delay_ns", int, "workload."),
-        seed=_expect(wl, "seed", int, "workload."),
-        delay_subset_fraction=float(
-            _expect(wl, "delay_subset_fraction", (int, float), "workload.")
-        ),
-    )
+    config = MeasurementConfig.from_dict(_expect(doc, "config", dict, ""), "config")
+    workload = WorkloadSpec.from_dict(_expect(doc, "workload", dict, ""), "workload")
 
     raw_timestamp = _expect(doc, "timestamp", str, "")
     try:

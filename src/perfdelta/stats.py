@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from math import comb, fsum
 
-from scipy.special import ndtri
-from scipy.stats import rankdata
-from scipy.stats import t as _student_t
+import numpy as np
+from scipy.special import ndtri, stdtr, stdtrit
 
 from .model import DecisionConfig, MeasurementSeries, SeriesSummary, StatTest
 
@@ -62,11 +60,11 @@ def t_quantile(p: float, df: float) -> float:
         raise StatsError(f"t_quantile requires p in (0, 1), got {p}")
     if df < 1:
         raise StatsError(f"t_quantile requires df >= 1, got {df}")
-    return float(_student_t.ppf(p, df))
+    return float(stdtrit(df, p))
 
 
 def _t_sf(x: float, df: float) -> float:
-    return float(_student_t.sf(x, df))
+    return float(stdtr(df, -x))
 
 
 # --- summaries -------------------------------------------------------------
@@ -189,20 +187,26 @@ def mann_whitney_approx_p(u_max: float, n1: int, n2: int, tie_sizes) -> float:
     return min(1.0, max(0.0, 2.0 * (1.0 - normal_cdf(z))))
 
 
-def _tie_sizes(values) -> list[int]:
-    sizes = [len(list(group)) for _, group in groupby(sorted(values))]
-    return [s for s in sizes if s > 1]
+def midranks(values) -> tuple[np.ndarray, list[int]]:
+    """1-based ranks of ``values``, tied values sharing the mean of their
+    ranks, and the sizes of the tie groups with more than one member."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, len(x)))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks, sizes[sizes > 1].tolist()
 
 
 def _mann_whitney(old, new, alpha: float) -> tuple[bool, float, float]:
     n1, n2 = len(old), len(new)
-    combined = list(old) + list(new)
-    ranks = rankdata(combined)
+    ranks, ties = midranks(list(old) + list(new))
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
     u_min, u_max = min(u1, u2), max(u1, u2)
-    ties = _tie_sizes(combined)
     if n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT and not ties:
         p = mann_whitney_exact_p(u_max, n1, n2)
     else:

@@ -16,7 +16,7 @@ equal-warmup policy the harness applies when measuring for real.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -385,14 +385,13 @@ def tune(
     clock=None,
     out_dir=None,
     parallel_pairs: bool = False,
-    synthetic_pool_vms: int | None = None,
 ) -> TunerReport:
     """Record (or synthesize) pools, estimate the full grid, select the best cell."""
     started = time.perf_counter()
     per_workload: dict[str, F1Grid] = {}
     for kind in plan.workload_kinds:
         if plan.synthetic_gamma is not None:
-            pool_vms = synthetic_pool_vms or max(plan.max_vms, 2 * max(plan.vm_grid))
+            pool_vms = max(plan.max_vms, 2 * max(plan.vm_grid))
             pools = {
                 repetitions: make_synthetic_pool(
                     gamma=plan.synthetic_gamma,
@@ -446,11 +445,7 @@ def report_to_document(report: TunerReport, include_wall_time: bool = False) -> 
             "max_vms": plan.max_vms,
             "max_iterations": plan.max_iterations,
             "resamples": plan.resamples,
-            "decision": {
-                "test": plan.decision.test.value,
-                "alpha": plan.decision.alpha,
-                "outlier_z": plan.decision.outlier_z,
-            },
+            "decision": plan.decision.to_dict(),
             "seed": plan.seed,
             "synthetic_gamma": plan.synthetic_gamma,
         },
@@ -462,27 +457,9 @@ def report_to_document(report: TunerReport, include_wall_time: bool = False) -> 
         },
     }
     if report.selection.config is not None:
-        cfg = report.selection.config
-        doc["selection"]["config"] = {
-            "vms": cfg.vms,
-            "warmup_iterations": cfg.warmup_iterations,
-            "measurement_iterations": cfg.measurement_iterations,
-            "repetitions": cfg.repetitions,
-            "trigger_gc_between_iterations": cfg.trigger_gc_between_iterations,
-            "parallel_pairs": cfg.parallel_pairs,
-        }
+        doc["selection"]["config"] = report.selection.config.to_dict()
     if report.selection.cell is not None:
-        cell = report.selection.cell
-        doc["selection"]["cell"] = {
-            "vms": cell.vms,
-            "iterations": cell.iterations,
-            "repetitions": cell.repetitions,
-            "f1": cell.f1,
-            "tp": cell.tp,
-            "fp": cell.fp,
-            "fn": cell.fn,
-            "tn": cell.tn,
-        }
+        doc["selection"]["cell"] = asdict(report.selection.cell)
     if include_wall_time:
         doc["wall_time_seconds"] = report.wall_time_seconds
     return doc

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import io
 import os
-import sys
 import time
-from typing import TextIO
 
 import numpy as np
 
@@ -87,10 +85,6 @@ _OPAQUE_CHECKSUM = 0
 def _consume(value: int) -> None:
     global _OPAQUE_CHECKSUM
     _OPAQUE_CHECKSUM = (_OPAQUE_CHECKSUM ^ value) & _MASK64
-
-
-def opaque_checksum() -> int:
-    return _OPAQUE_CHECKSUM
 
 
 class WorkloadInstance:
@@ -199,17 +193,13 @@ class AllocateWorkload(WorkloadInstance):
 
 
 class WriteWorkload(WorkloadInstance):
-    """Generate ``size`` pseudo-random numbers and write their text form.
+    """Generate ``size`` pseudo-random numbers and write their text form
+    to an in-memory buffer."""
 
-    The sink defaults to an in-memory buffer; pass ``target="stdout"`` to
-    mirror writing to standard output (timing then depends on the terminal).
-    """
-
-    def __init__(self, spec: WorkloadSpec, target: str = "memory"):
+    def __init__(self, spec: WorkloadSpec):
         super().__init__(spec)
         self._count = 0
-        self._owns_buffer = target == "memory"
-        self._writer: TextIO = io.StringIO() if self._owns_buffer else sys.stdout
+        self._writer = io.StringIO()
 
     @property
     def written_count(self) -> int:
@@ -232,25 +222,17 @@ class WriteWorkload(WorkloadInstance):
     def drain(self) -> None:
         _consume(self._count)
         self._count = 0
-        if self._owns_buffer:
-            self._writer = io.StringIO()
-        else:
-            self._writer.flush()
+        self._writer = io.StringIO()
 
 
-def create_instance(spec: WorkloadSpec, write_target: str = "memory") -> WorkloadInstance:
+def create_instance(spec: WorkloadSpec) -> WorkloadInstance:
     if spec.kind is WorkloadKind.ADD:
         return AddWorkload(spec)
     if spec.kind is WorkloadKind.ALLOCATE:
         return AllocateWorkload(spec)
     if spec.kind is WorkloadKind.WRITE:
-        return WriteWorkload(spec, target=write_target)
+        return WriteWorkload(spec)
     raise ValueError(f"unknown workload kind: {spec.kind}")
-
-
-def drain_sink(instance: WorkloadInstance) -> None:
-    """Empty the instance's sink between iterations; repeated calls are no-ops."""
-    instance.drain()
 
 
 def _physical_ram_bytes() -> int:

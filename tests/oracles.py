@@ -8,6 +8,7 @@ incomplete-beta tail probabilities instead of library survival functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -39,6 +40,22 @@ def mann_whitney_exact_bruteforce(x, y) -> float:
         if u >= u_max:
             count_ge += 1
     return min(1.0, 2.0 * count_ge / comb(total, n1))
+
+
+def midranks_by_counting(values):
+    """Average 1-based ranks and tie-group sizes by counting, in O(n^2).
+
+    A value's midrank is the number of smaller values plus the mean of the
+    positions its equal values occupy.  Tie sizes (groups larger than one)
+    are listed in ascending order of the tied value.
+    """
+    ranks = []
+    for v in values:
+        below = sum(1 for w in values if w < v)
+        equal = sum(1 for w in values if w == v)
+        ranks.append(Fraction(2 * below + equal + 1, 2))
+    ties = [count for _, count in sorted(Counter(values).items()) if count > 1]
+    return ranks, ties
 
 
 def welch_p_highprecision(x, y) -> float:

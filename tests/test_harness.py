@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -90,9 +91,17 @@ def test_paired_campaign_requires_matching_kinds():
         )
 
 
+REAL_BUILD_JOB = harness._build_job
+
+
+def with_broken_size(job, size=-1):
+    job["workload"]["size"] = size
+    return job
+
+
 def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
     def broken_job(config, workload, clock, cpu_affinity=None):
-        return {"workload": {"kind": "add", "size": -1}}
+        return with_broken_size(REAL_BUILD_JOB(config, workload, clock, cpu_affinity))
 
     monkeypatch.setattr(harness, "_build_job", broken_job)
     with pytest.raises(CampaignError) as excinfo:
@@ -103,13 +112,13 @@ def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
 
 def test_paired_failure_names_the_version(monkeypatch):
     calls = {"n": 0}
-    real = harness._build_job
 
     def sabotage_new(config, workload, clock, cpu_affinity=None):
         calls["n"] += 1
+        job = REAL_BUILD_JOB(config, workload, clock, cpu_affinity)
         if calls["n"] == 2:  # the first "new" launch of a sequential pair
-            return {"workload": {"kind": "add", "size": -1}}
-        return real(config, workload, clock, cpu_affinity)
+            return with_broken_size(job)
+        return job
 
     monkeypatch.setattr(harness, "_build_job", sabotage_new)
     with pytest.raises(CampaignError) as excinfo:
@@ -118,19 +127,42 @@ def test_paired_failure_names_the_version(monkeypatch):
     assert excinfo.value.vm_index == 0
 
 
+def test_parallel_failure_reaps_both_members(monkeypatch):
+    calls = {"n": 0}
+    spawned = []
+    real_spawn = harness._spawn
+
+    def sabotage_old(config, workload, clock, cpu_affinity=None):
+        calls["n"] += 1
+        job = REAL_BUILD_JOB(config, workload, clock, cpu_affinity)
+        if calls["n"] == 1:  # the "old" member of the first parallel pair
+            return with_broken_size(job)
+        return job
+
+    def recording_spawn(job):
+        proc = real_spawn(job)
+        spawned.append(proc)
+        return proc
+
+    monkeypatch.setattr(harness, "_build_job", sabotage_old)
+    monkeypatch.setattr(harness, "_spawn", recording_spawn)
+    with pytest.raises(CampaignError) as excinfo:
+        run_paired_campaign(small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE)
+    assert excinfo.value.version == "old"
+    assert len(spawned) == 2
+    assert all(proc.returncode is not None for proc in spawned)
+
+
 # --- executor internals ----------------------------------------------------
 
 
-def make_job(**overrides):
-    job = {
-        "workload": {"kind": "add", "size": 4, "seed": 7},
-        "warmup_iterations": 2,
-        "measurement_iterations": 3,
-        "repetitions": 10,
+def make_job():
+    return {
+        "config": small_config(warmup_iterations=2).to_dict(),
+        "workload": add_spec().to_dict(),
         "clock": {"step_ns": 500},
+        "cpu_affinity": None,
     }
-    job.update(overrides)
-    return job
 
 
 def test_execute_job_shapes_and_durations():
@@ -146,6 +178,24 @@ def test_in_process_reexecution_is_detectable():
     # The isolation counter grows within one process; only a fresh OS
     # process reports zero, which the campaign asserts for every VM start.
     assert second["executions_at_start"] > first["executions_at_start"]
+
+
+class GcCountingClock(FakeClock):
+    """Records the collector's generation counts at every read."""
+
+    def __init__(self):
+        super().__init__(step_ns=1)
+        self.counts = []
+
+    def read(self) -> int:
+        self.counts.append(gc.get_count())
+        return super().read()
+
+
+def test_timed_loop_starts_after_a_full_collection():
+    clock = GcCountingClock()
+    execute_job(make_job(), clock=clock)
+    assert clock.counts[0][1:] == (0, 0)
 
 
 def test_backwards_clock_is_fatal():
@@ -170,20 +220,26 @@ def test_executor_subprocess_round_trip():
     assert result["measurement_ns"] == [500, 500, 500]
 
 
-def test_stdout_write_workload_does_not_corrupt_protocol():
-    job = make_job(write_target="stdout")
-    job["workload"] = {"kind": "write", "size": 5, "seed": 7}
-    proc = run_executor(job)
-    assert proc.returncode == 0
-    lines = [line for line in proc.stdout.splitlines() if line.strip()]
-    assert len(lines) > 1  # workload noise precedes the result line
-    result = json.loads(lines[-1])
-    assert len(result["measurement_ns"]) == 3
-
-
 def test_executor_reports_structured_error():
-    proc = run_executor({"workload": {"kind": "add", "size": -3}})
+    proc = run_executor(with_broken_size(make_job(), -3))
     assert proc.returncode != 0
     error = json.loads(proc.stderr.strip().splitlines()[-1])
     assert error["error"] == "SchemaError"
     assert "size" in error["message"]
+
+
+def assert_schema_error(proc, path):
+    assert proc.returncode != 0
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["error"] == "SchemaError"
+    assert error["message"].startswith(f"{path}: ")
+
+
+def test_executor_rejects_job_with_missing_field():
+    job = make_job()
+    del job["config"]["repetitions"]
+    assert_schema_error(run_executor(job), "config.repetitions")
+
+
+def test_executor_rejects_job_with_wrong_typed_field():
+    assert_schema_error(run_executor(with_broken_size(make_job(), "4")), "workload.size")

@@ -16,6 +16,7 @@ from perfdelta.injection import (
 from perfdelta.model import DecisionConfig, MeasurementConfig, StatTest, WorkloadKind, WorkloadSpec
 from perfdelta.power import type_ii_error
 from perfdelta.stats import decide
+from perfdelta.workloads import SplitMix64
 
 MW = DecisionConfig(test=StatTest.MANN_WHITNEY, alpha=0.01)
 WELCH = DecisionConfig(test=StatTest.WELCH_T, alpha=0.01)
@@ -63,6 +64,13 @@ def test_erroneous_trials_counted_separately(monkeypatch):
     assert failed.changed is None and "simulated crash" in failed.error
     # Rate is over the 2 completed trials only.
     assert report.detection_rate == report.detections / 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1])
+def test_trial_seed_is_output_number_trial_of_the_stream(seed):
+    stream = SplitMix64(seed)
+    for trial in range(301):
+        assert injection._trial_seed(seed, trial) == stream.next_u64()
 
 
 def test_trial_validation():

@@ -1,5 +1,6 @@
 import json
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,14 @@ def test_float_duration_rejected():
         deserialize_series(json.dumps(doc))
 
 
+def test_boolean_subset_fraction_rejected():
+    series = make_series([[1, 2]])
+    doc = json.loads(serialize_series(series))
+    doc["workload"]["delay_subset_fraction"] = True
+    with pytest.raises(SchemaError, match="workload.delay_subset_fraction"):
+        deserialize_series(json.dumps(doc))
+
+
 def test_per_repetition_division_is_real_valued():
     run = VmRun(0, (), (1005,))
     assert run.per_repetition_ns(10) == [100.5]
@@ -146,3 +155,82 @@ def random_series(draw):
 @given(random_series())
 def test_round_trip_property(series):
     assert deserialize_series(serialize_series(series)) == series
+
+
+# --- config codec ----------------------------------------------------------
+
+GOLDEN_SERIES = Path(__file__).with_name("golden_series_v1.json")
+
+
+def golden_series() -> MeasurementSeries:
+    """The series that golden_series_v1.json was written from."""
+    return MeasurementSeries(
+        config=MeasurementConfig(
+            vms=3,
+            warmup_iterations=2,
+            measurement_iterations=3,
+            repetitions=1000,
+            trigger_gc_between_iterations=True,
+            parallel_pairs=True,
+        ),
+        workload=WorkloadSpec(
+            kind=WorkloadKind.WRITE,
+            size=300,
+            injected_delay_ns=5,
+            seed=2**64 - 1,
+            delay_subset_fraction=0.25,
+        ),
+        timestamp=datetime(2024, 5, 17, 12, 30, 45, 123456, tzinfo=timezone.utc),
+        environment={
+            "os": "Linux-6.1-x86_64",
+            "cpu": "x86_64",
+            "python": "3.11.9",
+            "clock_resolution_ns": "41",
+        },
+        vm_runs=(
+            VmRun(0, (812345, 799001), (7612003, 7598220, 7640118)),
+            VmRun(1, (805512, 0), (7702941, 2**53 + 1, 7655003)),
+            VmRun(2, (790001, 788877), (7581230, 7590011, 7577777)),
+        ),
+    )
+
+
+def test_golden_series_file_reproduced_byte_for_byte():
+    data = GOLDEN_SERIES.read_bytes()
+    assert serialize_series(golden_series()) == data
+    assert deserialize_series(data) == golden_series()
+    assert serialize_series(deserialize_series(data)) == data
+
+
+measurement_configs = st.builds(
+    MeasurementConfig,
+    vms=st.integers(min_value=1, max_value=10**6),
+    warmup_iterations=st.integers(min_value=0, max_value=10**6),
+    measurement_iterations=st.integers(min_value=1, max_value=10**6),
+    repetitions=st.integers(min_value=1, max_value=10**9),
+    trigger_gc_between_iterations=st.booleans(),
+    parallel_pairs=st.booleans(),
+)
+
+workload_specs = st.builds(
+    WorkloadSpec,
+    kind=st.sampled_from(list(WorkloadKind)),
+    size=st.integers(min_value=1, max_value=2**63),
+    injected_delay_ns=st.integers(min_value=0, max_value=10**9),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    delay_subset_fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measurement_configs)
+def test_measurement_config_codec_round_trip(config):
+    doc = json.loads(json.dumps(config.to_dict()))
+    assert MeasurementConfig.from_dict(doc, "config") == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(workload_specs)
+def test_workload_spec_codec_round_trip(spec):
+    doc = json.loads(json.dumps(spec.to_dict()))
+    assert WorkloadSpec.from_dict(doc, "workload") == spec

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from perfdelta.stats import (
     effect_size,
     mann_whitney_approx_p,
     mann_whitney_exact_p,
+    midranks,
     normal_cdf,
     normal_quantile,
     remove_outliers,
@@ -281,6 +284,35 @@ def test_welch_matches_incomplete_beta_oracle():
         got = decide(old, new, WELCH).p_value
         want = oracles.welch_p_highprecision(old, new)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+#: Few distinct values, so most draws are full of ties; signed zeros tie.
+tie_heavy_values = st.lists(
+    st.one_of(
+        st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.25, 1e9]),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_values)
+def test_midranks_match_counting_oracle(values):
+    ranks, ties = midranks(values)
+    want_ranks, want_ties = oracles.midranks_by_counting(values)
+    assert ranks.tolist() == [float(r) for r in want_ranks]
+    assert ties == want_ties
+
+
+@pytest.mark.parametrize("module", ["perfdelta.executor", "perfdelta.cli"])
+def test_import_does_not_load_scipy_stats(module):
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 # --- quantiles -------------------------------------------------------------

@@ -11,7 +11,6 @@ from perfdelta.workloads import (
     busy_wait_ns,
     check_memory_budget,
     create_instance,
-    drain_sink,
 )
 
 
@@ -62,9 +61,9 @@ def test_allocate_retains_then_drains():
     inst.execute_once()
     inst.execute_once()
     assert inst.record_count == 14
-    drain_sink(inst)
+    inst.drain()
     assert inst.record_count == 0
-    drain_sink(inst)  # idempotent
+    inst.drain()  # idempotent
     assert inst.record_count == 0
 
 
@@ -72,7 +71,7 @@ def test_write_counts_and_drains():
     inst = create_instance(spec(WorkloadKind.WRITE, 5, seed=3))
     inst.execute_once()
     assert inst.written_count == 5
-    drain_sink(inst)
+    inst.drain()
     assert inst.written_count == 0
 
 
@@ -94,7 +93,7 @@ def test_busy_wait_floor():
         inst.execute_once()
         elapsed = time.perf_counter_ns() - start
         assert elapsed >= size * delay
-    drain_sink(inst)
+    inst.drain()
 
 
 def test_busy_wait_ns_two_clock_reads_minimum():
@@ -150,7 +149,7 @@ def _median_execution_ns(kind, size, samples, **kwargs):
         start = time.perf_counter_ns()
         inst.execute_once()
         times.append(time.perf_counter_ns() - start)
-        drain_sink(inst)
+        inst.drain()
     return statistics.median(times)
 
 
