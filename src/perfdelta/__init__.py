@@ -6,39 +6,3 @@ between two versions use Welch's t-test, Mann-Whitney U or
 confidence-interval overlap over per-VM means.  An analytic power model and
 a resampling-based configuration tuner bound and optimize detectability.
 """
-
-from .model import (
-    DecisionConfig,
-    MeasurementConfig,
-    MeasurementSeries,
-    SchemaError,
-    SeriesSummary,
-    StatTest,
-    VmRun,
-    WorkloadKind,
-    WorkloadSpec,
-    deserialize_series,
-    serialize_series,
-)
-from .stats import TestOutcome, decide, effect_size, remove_outliers, summarize
-
-__all__ = [
-    "DecisionConfig",
-    "MeasurementConfig",
-    "MeasurementSeries",
-    "SchemaError",
-    "SeriesSummary",
-    "StatTest",
-    "TestOutcome",
-    "VmRun",
-    "WorkloadKind",
-    "WorkloadSpec",
-    "decide",
-    "deserialize_series",
-    "effect_size",
-    "remove_outliers",
-    "serialize_series",
-    "summarize",
-]
-
-__version__ = "0.1.0"

@@ -179,7 +179,12 @@ def run_paired_campaign(
                     {"epoch": vm_index, "members": [("old", vm_index), ("new", vm_index)]}
                 )
             proc_old = _spawn(_build_job(config, workload_old, clock, cpu_old))
-            proc_new = _spawn(_build_job(config, workload_new, clock, cpu_new))
+            try:
+                proc_new = _spawn(_build_job(config, workload_new, clock, cpu_new))
+            except BaseException:
+                proc_old.kill()
+                proc_old.communicate()
+                raise
             try:
                 run_old, run_resolution = _finish(proc_old, vm_index, "old")
             except BaseException:

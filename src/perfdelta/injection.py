@@ -1,9 +1,11 @@
 """Busy-wait regression injection studies at desk scale.
 
 An injection study repeatedly measures a base workload against the same
-workload with a busy-wait delay added to each (or a seeded-random subset of)
-primitive operation, then reports how often the change detector fires.
-Studies with a zero delay estimate the false-positive rate.
+workload with a busy-wait delay charged to each (or a fraction of its)
+primitive operations, then reports how often the change detector fires.  The
+injected variant runs the base loop followed by one busy-wait per timed call
+(see :class:`~perfdelta.model.WorkloadSpec`).  Studies with a zero delay
+estimate the false-positive rate.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class DetectabilityPrediction:
 def measure_busywait_quantum() -> int:
     """Smallest wall time a 1 ns busy-wait actually consumes on this host.
 
-    The interesting deltas can sit below clock resolution, so the effective
-    quantum is reported with each study instead of being assumed.
+    An injected delay is one busy-wait per timed call, of ``repetitions *
+    round(size * fraction) * delta`` ns, so its overshoot costs about one
+    quantum per window, not one per operation.  The quantum is reported with
+    each study so that overshoot can be judged against the nominal delay.
     """
     best = None
     for _ in range(200):

@@ -123,9 +123,11 @@ class WorkloadSpec:
     """One calibration workload: kind, size, optional injected busy-wait.
 
     ``size`` is the count of primitive operations per workload execution.
-    ``injected_delay_ns`` adds a busy-wait of that many nanoseconds to each
-    selected primitive operation (0 = unmodified); ``delay_subset_fraction``
-    restricts the delay to a seeded-random subset of the operations.
+    ``injected_delay_ns`` (0 = unmodified) charges that many nanoseconds to
+    ``round(size * delay_subset_fraction)`` of the operations.  The operations
+    themselves run as in the base workload; a timed call of ``repetitions``
+    executions then makes one busy-wait of ``repetitions *
+    round(size * delay_subset_fraction) * injected_delay_ns`` nanoseconds.
     """
 
     kind: WorkloadKind

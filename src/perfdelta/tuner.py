@@ -168,6 +168,12 @@ def make_synthetic_pool(
     )
 
 
+def pool_vms(plan: TunerPlan) -> int:
+    """VMs in a recorded or synthetic pool: at least twice the largest grid
+    value, so no cell's resampling round draws the whole pool."""
+    return max(plan.max_vms, 2 * max(plan.vm_grid))
+
+
 def record_pool(
     plan: TunerPlan,
     kind: WorkloadKind,
@@ -176,7 +182,7 @@ def record_pool(
 ) -> dict[int, MeasurementPool]:
     """Measure base and changed workloads at the maximal configuration.
 
-    Runs the harness at ``max_vms`` VMs with ``max(iteration_grid)`` warmup
+    Runs the harness at :func:`pool_vms` VMs with ``max(iteration_grid)`` warmup
     plus measurement iterations for each repetitions value, so every
     sub-configuration can be resampled from the recording.  Series files are
     persisted under ``out_dir`` when given.
@@ -195,7 +201,7 @@ def record_pool(
     pools: dict[int, MeasurementPool] = {}
     for repetitions in plan.repetitions_grid:
         config = MeasurementConfig(
-            vms=plan.max_vms,
+            vms=pool_vms(plan),
             warmup_iterations=max_i,
             measurement_iterations=max_i,
             repetitions=repetitions,
@@ -391,11 +397,10 @@ def tune(
     per_workload: dict[str, F1Grid] = {}
     for kind in plan.workload_kinds:
         if plan.synthetic_gamma is not None:
-            pool_vms = max(plan.max_vms, 2 * max(plan.vm_grid))
             pools = {
                 repetitions: make_synthetic_pool(
                     gamma=plan.synthetic_gamma,
-                    vms=pool_vms,
+                    vms=pool_vms(plan),
                     depth=2 * max(plan.iteration_grid),
                     repetitions=repetitions,
                     seed=plan.seed,

@@ -28,7 +28,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_SUBSET_SEED_SALT = 0xD1B54A32D192ED03
 
 #: Assumed footprint of one allocated record (three machine integers).
 RECORD_BYTES = 24
@@ -62,9 +61,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def next_unit_float(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
-
 
 def busy_wait_ns(delay_ns: int) -> None:
     """Spin on the monotonic clock until ``delay_ns`` have elapsed.
@@ -91,30 +87,28 @@ class WorkloadInstance:
     """One confined workload executor; not safe to share across threads.
 
     Two instances built from equal specs (including seed) perform the
-    identical operation sequence.
+    identical operation sequence.  An injected delay never changes that
+    sequence: it is one busy-wait after the operations of a timed call.
     """
 
     def __init__(self, spec: WorkloadSpec):
         self.spec = spec
         self._rng = SplitMix64(spec.seed)
-        self._delay_mask = self._build_delay_mask()
+        #: Busy-wait nanoseconds added to one execution.
+        self.added_ns = spec.injected_delay_ns * round(spec.size * spec.delay_subset_fraction)
 
-    def _build_delay_mask(self) -> list[bool] | None:
-        if self.spec.injected_delay_ns == 0:
-            return None
-        fraction = self.spec.delay_subset_fraction
-        if fraction >= 1.0:
-            return [True] * self.spec.size
-        picker = SplitMix64(self.spec.seed ^ _SUBSET_SEED_SALT)
-        return [picker.next_unit_float() < fraction for _ in range(self.spec.size)]
-
-    def execute_once(self) -> None:
+    def _run(self, n: int) -> None:
+        """Perform the operations of ``n`` executions."""
         raise NotImplementedError
 
+    def execute_once(self) -> None:
+        self.run_repetitions(1)
+
     def run_repetitions(self, n: int) -> None:
-        """Execute the workload ``n`` times; semantics identical to a loop."""
-        for _ in range(n):
-            self.execute_once()
+        """Execute the workload ``n`` times, then busy-wait ``n * added_ns``."""
+        self._run(n)
+        if self.added_ns:
+            busy_wait_ns(n * self.added_ns)
 
     def drain(self) -> None:
         """Empty the sink through the opaque consumption point (idempotent)."""
@@ -132,15 +126,8 @@ class AddWorkload(WorkloadInstance):
     def sink_value(self) -> int:
         return self._sum
 
-    def execute_once(self) -> None:
-        if self._delay_mask is None:
-            self._add_draws(self.spec.size)
-        else:
-            delay = self.spec.injected_delay_ns
-            for delayed in self._delay_mask:
-                self._sum = (self._sum + self._rng.next_u64()) & _MASK64
-                if delayed:
-                    busy_wait_ns(delay)
+    def _run(self, n: int) -> None:
+        self._add_draws(n * self.spec.size)
 
     def _add_draws(self, total: int) -> None:
         # Chunked so temporaries stay cache-resident regardless of size.
@@ -151,13 +138,6 @@ class AddWorkload(WorkloadInstance):
             acc = (acc + int(self._rng.next_block(take).sum(dtype=np.uint64))) & _MASK64
             total -= take
         self._sum = acc
-
-    def run_repetitions(self, n: int) -> None:
-        if self._delay_mask is not None:
-            super().run_repetitions(n)
-            return
-        # Fast path: one execution per `size` draws, batched across repetitions.
-        self._add_draws(n * self.spec.size)
 
     def drain(self) -> None:
         _consume(self._sum)
@@ -175,17 +155,10 @@ class AllocateWorkload(WorkloadInstance):
     def record_count(self) -> int:
         return len(self._records)
 
-    def execute_once(self) -> None:
+    def _run(self, n: int) -> None:
         append = self._records.append
-        if self._delay_mask is None:
-            for _ in range(self.spec.size):
-                append([0, 0, 0])
-        else:
-            delay = self.spec.injected_delay_ns
-            for delayed in self._delay_mask:
-                append([0, 0, 0])
-                if delayed:
-                    busy_wait_ns(delay)
+        for _ in range(n * self.spec.size):
+            append([0, 0, 0])
 
     def drain(self) -> None:
         _consume(len(self._records))
@@ -205,19 +178,14 @@ class WriteWorkload(WorkloadInstance):
     def written_count(self) -> int:
         return self._count
 
-    def execute_once(self) -> None:
+    def _run(self, n: int) -> None:
         write = self._writer.write
-        if self._delay_mask is None:
-            block = self._rng.next_block(self.spec.size)
+        size = self.spec.size
+        for _ in range(n):
+            block = self._rng.next_block(size)
             write("\n".join(str(int(v)) for v in block))
             write("\n")
-        else:
-            delay = self.spec.injected_delay_ns
-            for delayed in self._delay_mask:
-                write(f"{self._rng.next_u64()}\n")
-                if delayed:
-                    busy_wait_ns(delay)
-        self._count += self.spec.size
+        self._count += n * size
 
     def drain(self) -> None:
         _consume(self._count)

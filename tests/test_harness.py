@@ -153,6 +153,24 @@ def test_parallel_failure_reaps_both_members(monkeypatch):
     assert all(proc.returncode is not None for proc in spawned)
 
 
+def test_parallel_spawn_failure_reaps_old_member(monkeypatch):
+    spawned = []
+    real_spawn = harness._spawn
+
+    def failing_second_spawn(job):
+        if spawned:  # the "new" member of the first parallel pair
+            raise OSError("cannot start the new member")
+        proc = real_spawn(job)
+        spawned.append(proc)
+        return proc
+
+    monkeypatch.setattr(harness, "_spawn", failing_second_spawn)
+    with pytest.raises(OSError, match="new member"):
+        run_paired_campaign(small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE)
+    assert len(spawned) == 1
+    assert spawned[0].returncode is not None
+
+
 # --- executor internals ----------------------------------------------------
 
 

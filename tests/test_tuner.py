@@ -93,8 +93,9 @@ def test_record_pool_depth_and_persistence(tmp_path):
     pools = record_pool(plan, WorkloadKind.ADD, clock=FakeClock(step_ns=1000),
                         out_dir=tmp_path)
     pool = pools[1000]
-    assert pool.base.shape == (2, 6)  # 3 warmup + 3 measurement records
-    assert pool.changed.shape == (2, 6)
+    # 2 * max(vm_grid) VMs, each with 3 warmup + 3 measurement records
+    assert pool.base.shape == (4, 6)
+    assert pool.changed.shape == (4, 6)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["pool_add_r1000_base.json", "pool_add_r1000_changed.json"]
 

@@ -76,12 +76,18 @@ def test_write_counts_and_drains():
 
 
 def test_run_repetitions_equals_loop():
-    a = create_instance(spec(WorkloadKind.ADD, 13, seed=8))
-    b = create_instance(spec(WorkloadKind.ADD, 13, seed=8))
-    a.run_repetitions(9)
-    for _ in range(9):
-        b.execute_once()
-    assert a.sink_value == b.sink_value
+    state = {
+        WorkloadKind.ADD: lambda inst: inst.sink_value,
+        WorkloadKind.ALLOCATE: lambda inst: inst.record_count,
+        WorkloadKind.WRITE: lambda inst: (inst.written_count, inst._writer.getvalue()),
+    }
+    for kind, read in state.items():
+        a = create_instance(spec(kind, 13, seed=8))
+        b = create_instance(spec(kind, 13, seed=8))
+        a.run_repetitions(9)
+        for _ in range(9):
+            b.execute_once()
+        assert read(a) == read(b), kind
 
 
 def test_busy_wait_floor():
@@ -103,21 +109,16 @@ def test_busy_wait_ns_two_clock_reads_minimum():
 
 
 def test_subset_fraction_bounds_delay_targets():
-    full = create_instance(spec(WorkloadKind.ADD, 100, seed=2, injected_delay_ns=1))
-    half = create_instance(
-        spec(WorkloadKind.ADD, 100, seed=2, injected_delay_ns=1, delay_subset_fraction=0.5)
-    )
-    none = create_instance(
-        spec(WorkloadKind.ADD, 100, seed=2, injected_delay_ns=1, delay_subset_fraction=0.0)
-    )
-    assert sum(full._delay_mask) == 100
-    assert 0 < sum(half._delay_mask) < 100
-    assert sum(none._delay_mask) == 0
-    # Mask is a pure function of the seed.
-    again = create_instance(
-        spec(WorkloadKind.ADD, 100, seed=2, injected_delay_ns=1, delay_subset_fraction=0.5)
-    )
-    assert again._delay_mask == half._delay_mask
+    def added_ns(fraction):
+        return create_instance(
+            spec(WorkloadKind.ADD, 100, seed=2, injected_delay_ns=3,
+                 delay_subset_fraction=fraction)
+        ).added_ns
+
+    assert added_ns(1.0) == 300
+    assert added_ns(0.5) == 150
+    assert added_ns(0.0) == 0
+    assert create_instance(spec(WorkloadKind.ADD, 100, seed=2)).added_ns == 0
 
 
 def test_memory_budget_rejects_oversized_allocate():
@@ -171,10 +172,33 @@ def test_work_scales_with_size_not_elided():
     assert m6 > 5 * m5, (m5, m6)
 
 
+def _paired_median_window_ns(size, delta, repetitions, windows):
+    """Median window of an ``add`` base and its injected variant, measured in
+    alternation so that host drift moves both alike."""
+    base = create_instance(spec(WorkloadKind.ADD, size, seed=1))
+    delayed = create_instance(spec(WorkloadKind.ADD, size, seed=1, injected_delay_ns=delta))
+    times = {base: [], delayed: []}
+    for _ in range(windows):
+        for inst, bucket in times.items():
+            start = time.perf_counter_ns()
+            inst.run_repetitions(repetitions)
+            bucket.append(time.perf_counter_ns() - start)
+            inst.drain()
+    return statistics.median(times[base]), statistics.median(times[delayed])
+
+
 def test_injected_delay_raises_median_by_at_least_size_times_delta():
-    base = _median_execution_ns(WorkloadKind.ADD, 300, 10_000)
-    delayed = _median_execution_ns(WorkloadKind.ADD, 300, 10_000, injected_delay_ns=5)
+    base, delayed = _paired_median_window_ns(300, 5, repetitions=1, windows=10_000)
     assert delayed - base >= 300 * 5
+
+
+def test_injected_delay_adds_at_most_twice_its_nominal_time():
+    # The injected variant runs the base loop plus one busy-wait per window,
+    # so a window grows by about repetitions * size * delta and not by a
+    # per-operation cost of its own.
+    size, repetitions, delta = 300, 200, 5
+    base, delayed = _paired_median_window_ns(size, delta, repetitions, windows=60)
+    assert (delayed - base) / (repetitions * size * delta) <= 2, (base, delayed)
 
 
 @hardware_gated
