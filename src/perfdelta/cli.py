@@ -29,8 +29,7 @@ from .model import (
     deserialize_series,
     serialize_series,
 )
-from .stats import StatsError, decide, summarize
-from .workloads import MemoryBudgetError
+from .stats import decide, summarize
 
 EXIT_VALIDATION = 2
 EXIT_EXECUTOR = 3
@@ -45,11 +44,6 @@ _TEST_NAMES = {
     "mann-whitney": StatTest.MANN_WHITNEY,
     "ci": StatTest.CI_OVERLAP,
 }
-
-
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -67,12 +61,28 @@ def _load_series(path: str):
     try:
         return deserialize_series(Path(path).read_bytes())
     except OSError as exc:
-        _fail(f"cannot read {path}: {exc}", EXIT_VALIDATION)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except SchemaError as exc:
-        _fail(f"{path}: {exc}", EXIT_VALIDATION)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps every error a command raises to its exit code, in one place.
+
+    ``ValueError`` (bad values, and its subclasses ``SchemaError``,
+    ``StatsError`` and ``MemoryBudgetError``) exits 2, ``CampaignError``
+    exits 3; anything else propagates unchanged.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CampaignError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_EXECUTOR if isinstance(exc, CampaignError) else EXIT_VALIDATION)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Statistically grounded detection of performance changes."""
 
@@ -92,25 +102,17 @@ def main() -> None:
 def measure(kind, size, vms, warmup, iterations, repetitions, trigger_gc, delta_ns, seed,
             out_path) -> None:
     """Run one measurement campaign and write the series file."""
-    try:
-        config = MeasurementConfig(
-            vms=vms,
-            warmup_iterations=warmup,
-            measurement_iterations=iterations,
-            repetitions=repetitions,
-            trigger_gc_between_iterations=trigger_gc,
-        )
-        workload = WorkloadSpec(
-            kind=WorkloadKind(kind), size=size, injected_delay_ns=delta_ns, seed=seed
-        )
-    except SchemaError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    try:
-        series = run_campaign(config, workload)
-    except MemoryBudgetError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    except CampaignError as exc:
-        _fail(str(exc), EXIT_EXECUTOR)
+    config = MeasurementConfig(
+        vms=vms,
+        warmup_iterations=warmup,
+        measurement_iterations=iterations,
+        repetitions=repetitions,
+        trigger_gc_between_iterations=trigger_gc,
+    )
+    workload = WorkloadSpec(
+        kind=WorkloadKind(kind), size=size, injected_delay_ns=delta_ns, seed=seed
+    )
+    series = run_campaign(config, workload)
     Path(out_path).write_bytes(serialize_series(series))
     summary = summarize(series) if vms >= 2 else None
     if summary is not None:
@@ -133,13 +135,8 @@ def compare(old_file, new_file, test, alpha, outlier_z) -> None:
     """Decide whether two series files differ; exit 10 when they do."""
     old = _load_series(old_file)
     new = _load_series(new_file)
-    try:
-        decision = _decision(test, alpha, outlier_z)
-        outcome = decide(
-            summarize(old).per_vm_means_ns, summarize(new).per_vm_means_ns, decision
-        )
-    except (SchemaError, StatsError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
+    decision = _decision(test, alpha, outlier_z)
+    outcome = decide(summarize(old).per_vm_means_ns, summarize(new).per_vm_means_ns, decision)
     click.echo(
         json.dumps(
             {
@@ -175,24 +172,21 @@ def power(ctx, gamma, alpha, vms, beta, seconds_per_vm, budget_seconds, parallel
         raise click.UsageError("--gamma is required")
     if (vms is None) == (beta is None):
         raise click.UsageError("provide exactly one of --vms (forward) or --beta (inversion)")
-    try:
-        if vms is not None:
-            value = power_mod.type_ii_error(gamma, vms, alpha)
-            click.echo(f"beta={value!r}")
-            return
-        required = power_mod.required_vms(gamma, alpha, beta)
-        if seconds_per_vm is not None and budget_seconds is not None:
-            report = power_mod.feasibility(
-                gamma, alpha, beta, seconds_per_vm, budget_seconds, parallel_pairs=parallel
-            )
-            click.echo(
-                f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
-                f"feasible={str(report.feasible).lower()}"
-            )
-        else:
-            click.echo(f"required_vms={required}")
-    except ValueError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
+    if vms is not None:
+        value = power_mod.type_ii_error(gamma, vms, alpha)
+        click.echo(f"beta={value!r}")
+        return
+    required = power_mod.required_vms(gamma, alpha, beta)
+    if seconds_per_vm is not None and budget_seconds is not None:
+        report = power_mod.feasibility(
+            gamma, alpha, beta, seconds_per_vm, budget_seconds, parallel_pairs=parallel
+        )
+        click.echo(
+            f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
+            f"feasible={str(report.feasible).lower()}"
+        )
+    else:
+        click.echo(f"required_vms={required}")
 
 
 @power.command()
@@ -243,32 +237,24 @@ def tune(kinds, size, delta_ops, delta_ns, vm_grid, iteration_grid, repetitions_
     vm_grid = _int_list(vm_grid)
     iteration_grid = _int_list(iteration_grid)
     repetitions_grid = _int_list(repetitions_grid)
-    try:
-        plan = tuner_mod.TunerPlan(
-            workload_kinds=tuple(WorkloadKind(k) for k in kinds),
-            size_s=size,
-            delta_ops=delta_ops,
-            delta_ns=delta_ns,
-            repetitions_grid=repetitions_grid,
-            vm_grid=vm_grid,
-            iteration_grid=iteration_grid,
-            max_vms=max(vm_grid),
-            max_iterations=max(iteration_grid),
-            resamples=resamples,
-            decision=_decision(test, alpha, None),
-            seed=seed,
-            synthetic_gamma=_parse_synthetic(synthetic),
-        )
-    except (ValueError, SchemaError) as exc:
-        _fail(str(exc), EXIT_VALIDATION)
+    plan = tuner_mod.TunerPlan(
+        workload_kinds=tuple(WorkloadKind(k) for k in kinds),
+        size_s=size,
+        delta_ops=delta_ops,
+        delta_ns=delta_ns,
+        repetitions_grid=repetitions_grid,
+        vm_grid=vm_grid,
+        iteration_grid=iteration_grid,
+        max_vms=max(vm_grid),
+        max_iterations=max(iteration_grid),
+        resamples=resamples,
+        decision=_decision(test, alpha, None),
+        seed=seed,
+        synthetic_gamma=_parse_synthetic(synthetic),
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        report = tuner_mod.tune(plan, out_dir=out)
-    except MemoryBudgetError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    except CampaignError as exc:
-        _fail(str(exc), EXIT_EXECUTOR)
+    report = tuner_mod.tune(plan, out_dir=out)
     for kind, grid in report.per_workload_grids.items():
         (out / f"heatmap_{kind}.csv").write_text(tuner_mod.grid_to_csv(grid))
     (out / "heatmap_average.csv").write_text(tuner_mod.grid_to_csv(report.average_grid))
@@ -304,20 +290,15 @@ def stddev_sweep(kind, sizes, vms, warmup, iterations, repetitions, seed, out_pa
     """Measure each size and emit kind,size,mean,stddev,relative-stddev CSV."""
     size_list = _int_list(sizes)
     lines = ["kind,size,mean_ns,stddev_ns,relative_stddev"]
+    config = MeasurementConfig(
+        vms=vms,
+        warmup_iterations=warmup,
+        measurement_iterations=iterations,
+        repetitions=repetitions,
+    )
     for size in size_list:
-        try:
-            config = MeasurementConfig(
-                vms=vms,
-                warmup_iterations=warmup,
-                measurement_iterations=iterations,
-                repetitions=repetitions,
-            )
-            workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
-            series = run_campaign(config, workload)
-        except (SchemaError, MemoryBudgetError) as exc:
-            _fail(str(exc), EXIT_VALIDATION)
-        except CampaignError as exc:
-            _fail(str(exc), EXIT_EXECUTOR)
+        workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
+        series = run_campaign(config, workload)
         if series_dir is not None:
             directory = Path(series_dir)
             directory.mkdir(parents=True, exist_ok=True)
@@ -354,27 +335,19 @@ def stddev_sweep(kind, sizes, vms, warmup, iterations, repetitions, seed, out_pa
 def inject(kind, size, delta_ns, trials, subset_fraction, vms, warmup, iterations, repetitions,
            parallel, test, alpha, seed, out_path) -> None:
     """Inject a busy-wait regression repeatedly and report the detection rate."""
-    try:
-        config = MeasurementConfig(
-            vms=vms,
-            warmup_iterations=warmup,
-            measurement_iterations=iterations,
-            repetitions=repetitions,
-            parallel_pairs=parallel,
-        )
-        workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
-        decision = _decision(test, alpha, None)
-    except SchemaError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    try:
-        report = injection_mod.run_injection_study(
-            workload, delta_ns, config, decision, trials,
-            seed=seed, subset_fraction=subset_fraction,
-        )
-    except MemoryBudgetError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    except CampaignError as exc:
-        _fail(str(exc), EXIT_EXECUTOR)
+    config = MeasurementConfig(
+        vms=vms,
+        warmup_iterations=warmup,
+        measurement_iterations=iterations,
+        repetitions=repetitions,
+        parallel_pairs=parallel,
+    )
+    workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
+    decision = _decision(test, alpha, None)
+    report = injection_mod.run_injection_study(
+        workload, delta_ns, config, decision, trials,
+        seed=seed, subset_fraction=subset_fraction,
+    )
     Path(out_path).write_text(
         json.dumps(injection_mod.study_to_document(report), indent=2) + "\n"
     )

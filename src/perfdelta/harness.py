@@ -2,8 +2,9 @@
 
 Each VM start is a fresh OS process launched via ``python -m
 perfdelta.executor``; the parent stays single-threaded and at most one pair
-of executors runs at a time.  An optional ``launch_log`` list receives one
-entry per launch epoch so structural tests can assert the launch pattern.
+of executors runs at a time.  Every launch goes through ``_launch``: when a
+start fails, its result is bad or the wait is interrupted, every started
+child that has not exited is killed and reaped before the error propagates.
 """
 
 from __future__ import annotations
@@ -107,34 +108,62 @@ def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:
     return env
 
 
-def run_campaign(
-    config: MeasurementConfig,
-    workload: WorkloadSpec,
-    clock=None,
-    launch_log: list | None = None,
-) -> MeasurementSeries:
-    """Run ``config.vms`` sequential executor starts and assemble the series."""
+def _launch(config: MeasurementConfig, epochs, clock) -> dict:
+    """Run launch epochs in order and assemble one series per version.
+
+    Each epoch is a list of ``(version, vm_index, workload, cpu_affinity)``
+    members: all of them are spawned, then each is finished in order.  On
+    any failure or interrupt, every member of the epoch that has not exited
+    is killed and reaped before the exception propagates.
+    """
+    runs: dict[str | None, list[VmRun]] = {}
+    specs: dict[str | None, WorkloadSpec] = {}
+    resolution = None
+    for epoch in epochs:
+        started = []
+        try:
+            for _, _, workload, cpu_affinity in epoch:
+                started.append(_spawn(_build_job(config, workload, clock, cpu_affinity)))
+            for proc, (version, vm_index, workload, _) in zip(started, epoch):
+                run, run_resolution = _finish(proc, vm_index, version)
+                resolution = run_resolution if resolution is None else resolution
+                runs.setdefault(version, []).append(run)
+                specs[version] = workload
+        except BaseException:
+            for proc in started:
+                if proc.returncode is None:
+                    proc.kill()
+                    proc.communicate()
+            raise
+    environment = _environment_metadata(resolution)
+    timestamp = utc_now()
+    return {
+        version: MeasurementSeries(
+            config=config,
+            workload=specs[version],
+            timestamp=timestamp,
+            environment=environment,
+            vm_runs=tuple(version_runs),
+        )
+        for version, version_runs in runs.items()
+    }
+
+
+def _check_memory_budget(config: MeasurementConfig, workload: WorkloadSpec) -> None:
     workloads.check_memory_budget(
         workload,
         iterations=config.warmup_iterations + config.measurement_iterations,
         repetitions=config.repetitions,
     )
-    runs = []
-    resolution = None
-    for vm_index in range(config.vms):
-        job = _build_job(config, workload, clock)
-        if launch_log is not None:
-            launch_log.append({"epoch": vm_index, "members": [("only", vm_index)]})
-        run, run_resolution = _finish(_spawn(job), vm_index)
-        resolution = run_resolution if resolution is None else resolution
-        runs.append(run)
-    return MeasurementSeries(
-        config=config,
-        workload=workload,
-        timestamp=utc_now(),
-        environment=_environment_metadata(resolution),
-        vm_runs=tuple(runs),
-    )
+
+
+def run_campaign(
+    config: MeasurementConfig, workload: WorkloadSpec, clock=None
+) -> MeasurementSeries:
+    """Run ``config.vms`` sequential executor starts and assemble the series."""
+    _check_memory_budget(config, workload)
+    epochs = [[(None, vm_index, workload, None)] for vm_index in range(config.vms)]
+    return _launch(config, epochs, clock)[None]
 
 
 def _pair_affinity() -> tuple[list[int] | None, list[int] | None]:
@@ -151,7 +180,6 @@ def run_paired_campaign(
     workload_old: WorkloadSpec,
     workload_new: WorkloadSpec,
     clock=None,
-    launch_log: list | None = None,
 ) -> tuple[MeasurementSeries, MeasurementSeries]:
     """Measure two versions with aligned VM indices.
 
@@ -162,69 +190,18 @@ def run_paired_campaign(
     if workload_old.kind is not workload_new.kind:
         raise ValueError("paired campaigns require both workloads to share a kind")
     for workload in (workload_old, workload_new):
-        workloads.check_memory_budget(
-            workload,
-            iterations=config.warmup_iterations + config.measurement_iterations,
-            repetitions=config.repetitions,
-        )
-
-    runs_old, runs_new = [], []
-    resolution = None
-
+        _check_memory_budget(config, workload)
     if config.parallel_pairs:
         cpu_old, cpu_new = _pair_affinity()
-        for vm_index in range(config.vms):
-            if launch_log is not None:
-                launch_log.append(
-                    {"epoch": vm_index, "members": [("old", vm_index), ("new", vm_index)]}
-                )
-            proc_old = _spawn(_build_job(config, workload_old, clock, cpu_old))
-            try:
-                proc_new = _spawn(_build_job(config, workload_new, clock, cpu_new))
-            except BaseException:
-                proc_old.kill()
-                proc_old.communicate()
-                raise
-            try:
-                run_old, run_resolution = _finish(proc_old, vm_index, "old")
-            except BaseException:
-                proc_new.kill()
-                proc_new.communicate()
-                raise
-            run_new, _ = _finish(proc_new, vm_index, "new")
-            resolution = run_resolution if resolution is None else resolution
-            runs_old.append(run_old)
-            runs_new.append(run_new)
+        epochs = [
+            [("old", i, workload_old, cpu_old), ("new", i, workload_new, cpu_new)]
+            for i in range(config.vms)
+        ]
     else:
-        epoch = 0
-        for vm_index in range(config.vms):
-            for version, workload, runs in (
-                ("old", workload_old, runs_old),
-                ("new", workload_new, runs_new),
-            ):
-                if launch_log is not None:
-                    launch_log.append({"epoch": epoch, "members": [(version, vm_index)]})
-                epoch += 1
-                run, run_resolution = _finish(
-                    _spawn(_build_job(config, workload, clock)), vm_index, version
-                )
-                resolution = run_resolution if resolution is None else resolution
-                runs.append(run)
-
-    environment = _environment_metadata(resolution)
-    timestamp = utc_now()
-    series_old = MeasurementSeries(
-        config=config,
-        workload=workload_old,
-        timestamp=timestamp,
-        environment=environment,
-        vm_runs=tuple(runs_old),
-    )
-    series_new = MeasurementSeries(
-        config=config,
-        workload=workload_new,
-        timestamp=timestamp,
-        environment=environment,
-        vm_runs=tuple(runs_new),
-    )
-    return series_old, series_new
+        epochs = [
+            [member]
+            for i in range(config.vms)
+            for member in (("old", i, workload_old, None), ("new", i, workload_new, None))
+        ]
+    series = _launch(config, epochs, clock)
+    return series["old"], series["new"]

@@ -93,7 +93,6 @@ def run_injection_study(
     seed: int = 0,
     subset_fraction: float = 1.0,
     clock=None,
-    keep_outcomes: bool = True,
 ) -> StudyReport:
     """Run ``trials`` paired base-vs-injected campaigns and count detections.
 
@@ -158,7 +157,7 @@ def run_injection_study(
             sum(relative_stddevs) / len(relative_stddevs) if relative_stddevs else None
         ),
         busywait_quantum_ns=measure_busywait_quantum(),
-        outcomes=tuple(outcomes) if keep_outcomes else (),
+        outcomes=tuple(outcomes),
     )
 
 

@@ -55,6 +55,10 @@ class TunerPlan:
         object.__setattr__(self, "iteration_grid", tuple(self.iteration_grid))
         if not self.workload_kinds:
             raise ValueError("plan needs at least one workload kind")
+        for name, least in (("vm_grid", 2), ("iteration_grid", 1), ("repetitions_grid", 1)):
+            grid = getattr(self, name)
+            if not grid or min(grid) < least:
+                raise ValueError(f"{name} must be non-empty with every value >= {least}")
         if max(self.vm_grid) > self.max_vms:
             raise ValueError("vm_grid exceeds max_vms")
         if max(self.iteration_grid) > self.max_iterations:

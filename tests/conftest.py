@@ -53,3 +53,27 @@ def make_series(
         environment={"os": "test"},
         vm_runs=tuple(runs),
     )
+
+
+def record_launches(monkeypatch) -> list:
+    """Record the real order of executor starts and waits in ``perfdelta.harness``.
+
+    Each start appends ``("spawn", workload seed)`` and each wait
+    ``("finish", version, vm_index)``; both still run the real seams.
+    """
+    from perfdelta import harness
+
+    events = []
+    real_spawn, real_finish = harness._spawn, harness._finish
+
+    def spawn(job):
+        events.append(("spawn", job["workload"]["seed"]))
+        return real_spawn(job)
+
+    def finish(proc, vm_index, version=None):
+        events.append(("finish", version, vm_index))
+        return real_finish(proc, vm_index, version)
+
+    monkeypatch.setattr(harness, "_spawn", spawn)
+    monkeypatch.setattr(harness, "_finish", finish)
+    return events

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from conftest import RUN_HARDWARE, make_series
+from conftest import RUN_HARDWARE, make_series, record_launches
 from perfdelta.cli import main as cli_main
 from perfdelta.model import (
     DecisionConfig,
@@ -178,7 +178,7 @@ def test_criterion_6_selection_rule_conformance(verdict):
     )
 
 
-def test_criterion_7_harness_structural_correctness(verdict):
+def test_criterion_7_harness_structural_correctness(verdict, monkeypatch):
     from perfdelta.executor import FakeClock
     from perfdelta.harness import run_campaign, run_paired_campaign
 
@@ -194,15 +194,17 @@ def test_criterion_7_harness_structural_correctness(verdict):
         r.per_repetition_ns(100) == [10.0, 10.0, 10.0] for r in series.vm_runs
     )
 
-    log = []
+    events = record_launches(monkeypatch)
     pair_config = MeasurementConfig(
         vms=3, warmup_iterations=1, measurement_iterations=1, repetitions=10,
         parallel_pairs=True,
     )
-    run_paired_campaign(
-        pair_config, workload, workload, clock=FakeClock(step_ns=1000), launch_log=log
-    )
-    epochs_ok = len(log) == 3 and all(len(entry["members"]) == 2 for entry in log)
+    run_paired_campaign(pair_config, workload, workload, clock=FakeClock(step_ns=1000))
+    epochs_ok = events == [
+        e
+        for i in range(3)
+        for e in (("spawn", 1), ("spawn", 1), ("finish", "old", i), ("finish", "new", i))
+    ]
 
     data = serialize_series(series)
     round_trip_ok = serialize_series(deserialize_series(data)) == data

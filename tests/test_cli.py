@@ -244,3 +244,49 @@ def test_inject_writes_study_report(tmp_path):
     assert doc["trials"] == 2
     assert len(doc["outcomes"]) == 2
     assert "detection_rate=" in result.output
+
+
+# --- exit codes --------------------------------------------------------------
+
+ONE_VM = ["--vms", "1", "--warmup", "0", "--iterations", "1", "--repetitions", "1"]
+INJECT = ["inject", "--workload", "add", "--size", "10", "--no-parallel", *ONE_VM]
+
+
+@pytest.mark.parametrize("args", [
+    ["power", "curve", "--gammas", "1", "--vms-max", "3", "--alpha", "2"],
+    ["power", "curve", "--gammas", "1", "--vms-max", "3", "--vms-min", "1"],
+    ["power", "curve", "--gammas", "abc", "--vms-max", "3"],
+    [*INJECT, "--trials", "0"],
+    [*INJECT, "--delta-ns", "-1"],
+    [*INJECT, "--subset-fraction", "2"],
+    ["stddev-sweep", "--workload", "add", "--sizes", "10", *ONE_VM],
+    ["tune", "--workload", "add", "--synthetic", "gamma=3", "--vm-grid", "1",
+     "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1"],
+], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
+        "inject-subset-fraction", "sweep-vms", "tune-vm-grid"])
+def test_invalid_values_exit_with_validation_code(tmp_path, args):
+    if args[0] in ("inject", "tune"):
+        args = [*args, "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.output
+
+
+def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
+    from perfdelta import harness
+
+    real_build_job = harness._build_job
+
+    def broken_job(*args):
+        job = real_build_job(*args)
+        job["workload"]["size"] = -1
+        return job
+
+    monkeypatch.setattr(harness, "_build_job", broken_job)
+    result = runner.invoke(main, [
+        "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(tmp_path / "f"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: executor failed for vm 0: ")
+    assert not (tmp_path / "f").exists()

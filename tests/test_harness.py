@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import record_launches
 from perfdelta import harness
 from perfdelta.executor import ClockError, FakeClock, execute_job
 from perfdelta.harness import CampaignError, run_campaign, run_paired_campaign
@@ -53,33 +54,34 @@ def test_campaign_output_serializes_byte_stable():
     assert serialize_series(deserialize_series(data)) == data
 
 
-def test_sequential_campaign_logs_one_epoch_per_vm():
-    log = []
-    run_campaign(small_config(vms=3), add_spec(), clock=FAKE, launch_log=log)
-    assert [entry["epoch"] for entry in log] == [0, 1, 2]
+def test_sequential_campaign_logs_one_epoch_per_vm(monkeypatch):
+    events = record_launches(monkeypatch)
+    run_campaign(small_config(vms=3), add_spec(), clock=FAKE)
+    assert events == [e for i in range(3) for e in (("spawn", 7), ("finish", None, i))]
 
 
-def test_paired_parallel_launch_pattern():
-    log = []
+def test_paired_parallel_launch_pattern(monkeypatch):
+    events = record_launches(monkeypatch)
     config = small_config(vms=3, parallel_pairs=True)
-    old, new = run_paired_campaign(config, add_spec(), add_spec(seed=8), clock=FAKE, launch_log=log)
-    assert len(log) == 3
-    for i, entry in enumerate(log):
-        assert entry["epoch"] == i
-        assert entry["members"] == [("old", i), ("new", i)]
+    old, new = run_paired_campaign(config, add_spec(), add_spec(seed=8), clock=FAKE)
+    assert events == [
+        e
+        for i in range(3)
+        for e in (("spawn", 7), ("spawn", 8), ("finish", "old", i), ("finish", "new", i))
+    ]
     assert len(old.vm_runs) == len(new.vm_runs) == 3
     assert old.workload.seed == 7 and new.workload.seed == 8
 
 
-def test_paired_sequential_alternates_versions():
-    log = []
+def test_paired_sequential_alternates_versions(monkeypatch):
+    events = record_launches(monkeypatch)
     config = small_config(vms=3, parallel_pairs=False)
-    run_paired_campaign(config, add_spec(), add_spec(), clock=FAKE, launch_log=log)
-    assert len(log) == 6
-    versions = [entry["members"][0][0] for entry in log]
-    assert versions == ["old", "new"] * 3
-    vm_indices = [entry["members"][0][1] for entry in log]
-    assert vm_indices == [0, 0, 1, 1, 2, 2]
+    run_paired_campaign(config, add_spec(), add_spec(seed=8), clock=FAKE)
+    assert events == [
+        e
+        for i in range(3)
+        for e in (("spawn", 7), ("finish", "old", i), ("spawn", 8), ("finish", "new", i))
+    ]
 
 
 def test_paired_campaign_requires_matching_kinds():
@@ -169,6 +171,38 @@ def test_parallel_spawn_failure_reaps_old_member(monkeypatch):
         run_paired_campaign(small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE)
     assert len(spawned) == 1
     assert spawned[0].returncode is not None
+
+
+LAUNCH_MODES = {
+    "campaign": lambda: run_campaign(small_config(), add_spec(), clock=FAKE),
+    "sequential pair": lambda: run_paired_campaign(
+        small_config(), add_spec(), add_spec(), clock=FAKE
+    ),
+    "parallel pair": lambda: run_paired_campaign(
+        small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(LAUNCH_MODES))
+def test_interrupt_while_waiting_reaps_every_child(monkeypatch, mode):
+    spawned = []
+    real_spawn = harness._spawn
+
+    def recording_spawn(job):
+        proc = real_spawn(job)
+        spawned.append(proc)
+        return proc
+
+    def interrupted_finish(proc, vm_index, version=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_spawn", recording_spawn)
+    monkeypatch.setattr(harness, "_finish", interrupted_finish)
+    with pytest.raises(KeyboardInterrupt):
+        LAUNCH_MODES[mode]()
+    assert spawned
+    assert all(proc.returncode is not None for proc in spawned)
 
 
 # --- executor internals ----------------------------------------------------

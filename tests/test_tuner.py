@@ -61,6 +61,16 @@ def test_plan_invariants():
         small_plan(workload_kinds=())
 
 
+@pytest.mark.parametrize("grid,value", [
+    ("vm_grid", ()), ("vm_grid", (1, 5)), ("vm_grid", (0,)),
+    ("iteration_grid", ()), ("iteration_grid", (0, 5)), ("iteration_grid", (-1, 5)),
+    ("repetitions_grid", ()), ("repetitions_grid", (0,)),
+])
+def test_plan_rejects_bad_grids_up_front(grid, value):
+    with pytest.raises(ValueError, match=grid):
+        small_plan(**{grid: value})
+
+
 # --- pools -----------------------------------------------------------------
 
 
