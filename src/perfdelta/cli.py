@@ -28,6 +28,7 @@ from .model import (
     WorkloadSpec,
     deserialize_series,
     serialize_series,
+    to_document,
 )
 from .stats import decide, summarize
 
@@ -137,20 +138,7 @@ def compare(old_file, new_file, test, alpha, outlier_z) -> None:
     new = _load_series(new_file)
     decision = _decision(test, alpha, outlier_z)
     outcome = decide(summarize(old).per_vm_means_ns, summarize(new).per_vm_means_ns, decision)
-    click.echo(
-        json.dumps(
-            {
-                "changed": outcome.changed,
-                "test": outcome.test.value,
-                "statistic": outcome.statistic,
-                "p_value": outcome.p_value,
-                "effect_size": outcome.effect_size,
-                "n_old": outcome.n_old,
-                "n_new": outcome.n_new,
-                "alpha": alpha,
-            }
-        )
-    )
+    click.echo(json.dumps({**to_document(outcome), "alpha": alpha}))
     sys.exit(EXIT_CHANGE if outcome.changed else 0)
 
 
@@ -288,6 +276,8 @@ def tune(kinds, size, delta_ops, delta_ns, vm_grid, iteration_grid, repetitions_
 def stddev_sweep(kind, sizes, vms, warmup, iterations, repetitions, seed, out_path,
                  series_dir) -> None:
     """Measure each size and emit kind,size,mean,stddev,relative-stddev CSV."""
+    if vms < 2:
+        raise ValueError("summaries need at least 2 VMs for a defined stddev")
     size_list = _int_list(sizes)
     lines = ["kind,size,mean_ns,stddev_ns,relative_stddev"]
     config = MeasurementConfig(
@@ -348,9 +338,7 @@ def inject(kind, size, delta_ns, trials, subset_fraction, vms, warmup, iteration
         workload, delta_ns, config, decision, trials,
         seed=seed, subset_fraction=subset_fraction,
     )
-    Path(out_path).write_text(
-        json.dumps(injection_mod.study_to_document(report), indent=2) + "\n"
-    )
+    Path(out_path).write_text(json.dumps(to_document(report), indent=2) + "\n")
     click.echo(
         f"detection_rate={report.detection_rate!r} detections={report.detections} "
         f"trials={report.trials} erroneous={report.erroneous}"

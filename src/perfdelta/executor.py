@@ -2,9 +2,9 @@
 
 Protocol: the parent writes a single JSON job document to the child's
 standard input: ``{"config": ..., "workload": ..., "clock": ...,
-"cpu_affinity": ...}``, the first two in the layout of
-:meth:`MeasurementConfig.to_dict` and :meth:`WorkloadSpec.to_dict`.  The
-child replies with one JSON result line on standard output.  Exit code 0
+"cpu_affinity": ...}``, the first two a :class:`MeasurementConfig` and a
+:class:`WorkloadSpec` in the layout of :func:`~perfdelta.model.to_document`.
+The child replies with one JSON result line on standard output.  Exit code 0
 means success; on failure a structured JSON error is written to standard
 error and the exit code is nonzero.
 
@@ -97,10 +97,11 @@ def execute_job(job: dict, clock=None) -> dict:
 
     instance = create_instance(spec)
 
-    # Enter the timed loop with empty young generations, so where a
-    # collection lands among the windows depends on the workload's own
-    # allocations and not on how many objects the child's imports left behind.
+    # Enter the timed loop with empty generations and the import heap frozen
+    # out of the collector, so a collection inside a window walks only the
+    # workload's own objects and not the ~20,000 the child's imports left.
     gc.collect()
+    gc.freeze()
     warmup_ns: list[int] = []
     measurement_ns: list[int] = []
     repetitions = config.repetitions

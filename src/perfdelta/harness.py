@@ -18,7 +18,7 @@ import sys
 
 from . import workloads
 from .executor import FakeClock
-from .model import MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec, utc_now
+from .model import MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec, to_document, utc_now
 
 log = logging.getLogger(__name__)
 
@@ -49,8 +49,8 @@ def _build_job(
     cpu_affinity: list[int] | None = None,
 ) -> dict:
     return {
-        "config": config.to_dict(),
-        "workload": workload.to_dict(),
+        "config": to_document(config),
+        "workload": to_document(workload),
         "clock": _clock_job_entry(clock),
         "cpu_affinity": cpu_affinity,
     }

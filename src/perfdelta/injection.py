@@ -192,33 +192,6 @@ def predict_detectability(
     )
 
 
-def study_to_document(report: StudyReport) -> dict:
-    return {
-        "workload": report.workload.to_dict(),
-        "delta_ns": report.delta_ns,
-        "subset_fraction": report.subset_fraction,
-        "config": report.config.to_dict(),
-        "decision": report.decision.to_dict(),
-        "trials": report.trials,
-        "detections": report.detections,
-        "erroneous": report.erroneous,
-        "detection_rate": report.detection_rate,
-        "mean_effect_size": report.mean_effect_size,
-        "mean_relative_stddev": report.mean_relative_stddev,
-        "busywait_quantum_ns": report.busywait_quantum_ns,
-        "outcomes": [
-            {
-                "trial": o.trial,
-                "changed": o.changed,
-                "p_value": o.p_value,
-                "effect_size": o.effect_size,
-                "error": o.error,
-            }
-            for o in report.outcomes
-        ],
-    }
-
-
 def study_summary_csv(reports) -> str:
     lines = ["delta_ns,trials,detections,rate,mean_gamma"]
     for r in reports:

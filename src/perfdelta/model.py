@@ -10,7 +10,7 @@ concurrent readers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any, Mapping
@@ -45,16 +45,6 @@ class StatTest(str, Enum):
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise SchemaError(path, message)
-
-
-def _to_dict(config) -> dict[str, Any]:
-    """The JSON layout of a config type: every field in declaration order,
-    enums by value."""
-    doc = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        doc[f.name] = value.value if isinstance(value, Enum) else value
-    return doc
 
 
 def _expect_object(doc: Any, path: str) -> Mapping[str, Any]:
@@ -99,12 +89,9 @@ class MeasurementConfig:
         )
         _require(self.repetitions >= 1, "config.repetitions", "must be >= 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return _to_dict(self)
-
     @classmethod
     def from_dict(cls, doc: Any, path: str) -> MeasurementConfig:
-        """Strictly decode :meth:`to_dict` output; errors name ``path.<field>``."""
+        """Strictly decode :func:`to_document` output; errors name ``path.<field>``."""
         doc, prefix = _expect_object(doc, path), f"{path}."
         return cls(
             vms=_expect(doc, "vms", int, prefix),
@@ -146,12 +133,9 @@ class WorkloadSpec:
             "must be in [0, 1]",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return _to_dict(self)
-
     @classmethod
     def from_dict(cls, doc: Any, path: str) -> WorkloadSpec:
-        """Strictly decode :meth:`to_dict` output; errors name ``path.<field>``."""
+        """Strictly decode :func:`to_document` output; errors name ``path.<field>``."""
         doc, prefix = _expect_object(doc, path), f"{path}."
         kind_name = _expect(doc, "kind", str, prefix)
         try:
@@ -245,10 +229,6 @@ class DecisionConfig:
         if self.outlier_z is not None:
             _require(self.outlier_z > 0, "decision.outlier_z", "must be > 0")
 
-    def to_dict(self) -> dict[str, Any]:
-        return _to_dict(self)
-
-
 @dataclass(frozen=True)
 class SeriesSummary:
     """Aggregate of a series: per-VM means and their mean / spread.
@@ -269,22 +249,27 @@ class SeriesSummary:
 # --- serialization ---------------------------------------------------------
 
 
-def _series_to_document(series: MeasurementSeries) -> dict[str, Any]:
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": series.config.to_dict(),
-        "workload": series.workload.to_dict(),
-        "timestamp": series.timestamp.isoformat(),
-        "environment": dict(series.environment),
-        "vm_runs": [
-            {
-                "vm_index": run.vm_index,
-                "warmup_ns": list(run.warmup_ns),
-                "measurement_ns": list(run.measurement_ns),
-            }
-            for run in series.vm_runs
-        ],
-    }
+def to_document(value: Any) -> Any:
+    """The JSON layout of any value perfdelta writes.
+
+    A dataclass becomes an object of all its fields in declaration order, an
+    enum its value, a tuple or list an array, a datetime its ISO-8601 form;
+    dicts and scalars pass through.  Arrays of numbers (duration arrays hold
+    thousands of ints) are copied without a per-element call.
+    """
+    if is_dataclass(value):
+        return {f.name: to_document(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        if value and isinstance(value[0], (int, float)):
+            return list(value)
+        return [to_document(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_document(item) for key, item in value.items()}
+    if isinstance(value, datetime):
+        return value.isoformat()
+    return value
 
 
 def serialize_series(series: MeasurementSeries) -> bytes:
@@ -292,7 +277,8 @@ def serialize_series(series: MeasurementSeries) -> bytes:
 
     Nanosecond counts are emitted as JSON integers, never floats.
     """
-    return json.dumps(_series_to_document(series), indent=2).encode("utf-8") + b"\n"
+    document = {"format_version": FORMAT_VERSION, **to_document(series)}
+    return json.dumps(document, indent=2).encode("utf-8") + b"\n"
 
 
 def _int_list(values: Any, path: str) -> list[int]:

@@ -34,12 +34,12 @@ class TestOutcome:
     """Result of one two-sample change decision."""
 
     changed: bool
+    test: StatTest
     statistic: float
     p_value: float | None
     effect_size: float
     n_old: int
     n_new: int
-    test: StatTest
 
 
 # --- distribution helpers --------------------------------------------------
@@ -279,10 +279,10 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
 
     return TestOutcome(
         changed=changed,
+        test=decision.test,
         statistic=statistic,
         p_value=p,
         effect_size=gamma,
         n_old=len(old),
         n_new=len(new),
-        test=decision.test,
     )

@@ -16,11 +16,18 @@ equal-warmup policy the harness applies when measuring for real.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DecisionConfig, MeasurementConfig, MeasurementSeries, WorkloadKind, WorkloadSpec
+from .model import (
+    DecisionConfig,
+    MeasurementConfig,
+    MeasurementSeries,
+    WorkloadKind,
+    WorkloadSpec,
+    to_document,
+)
 from .stats import decide
 
 #: Resampling noise at 10,000 rounds is ~±0.005 F1; the monotonicity rule
@@ -28,6 +35,13 @@ from .stats import decide
 MONOTONICITY_TOLERANCE = 0.005
 
 F1_THRESHOLD = 0.99
+
+#: Synthetic pools: per-VM means are Normal(SYNTHETIC_BASE_MEAN,
+#: SYNTHETIC_BETWEEN_VM_SD), iteration values add Normal(0,
+#: SYNTHETIC_WITHIN_VM_SD) noise.
+SYNTHETIC_BASE_MEAN = 100.0
+SYNTHETIC_BETWEEN_VM_SD = 1.0
+SYNTHETIC_WITHIN_VM_SD = 0.1
 
 
 @dataclass(frozen=True)
@@ -96,10 +110,10 @@ class F1Grid:
 class SelectionResult:
     """Selected configuration, or the best-found cell when nothing qualifies."""
 
-    config: MeasurementConfig | None
-    cell: GridCell | None
     feasible: bool
     reason: str
+    config: MeasurementConfig | None
+    cell: GridCell | None
 
 
 @dataclass
@@ -149,25 +163,22 @@ def make_synthetic_pool(
     depth: int,
     repetitions: int,
     seed: int,
-    base_mean: float = 100.0,
-    between_vm_sd: float = 1.0,
-    within_vm_sd: float = 0.1,
 ) -> MeasurementPool:
     """Gaussian stand-in for a recorded pool with a controlled effect size.
 
-    Per-VM means are Normal(mean, between_vm_sd); the changed version is
-    slower by ``gamma * between_vm_sd``.  Iteration values add small
-    within-VM noise so per-VM averaging still does something.
+    The changed version's per-VM means are slower by ``gamma *
+    SYNTHETIC_BETWEEN_VM_SD``.  Iteration values add small within-VM noise
+    so per-VM averaging still does something.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, vms, depth, repetitions]))
 
     def draw(mean: float) -> np.ndarray:
-        vm_means = rng.normal(mean, between_vm_sd, size=(vms, 1))
-        return vm_means + rng.normal(0.0, within_vm_sd, size=(vms, depth))
+        vm_means = rng.normal(mean, SYNTHETIC_BETWEEN_VM_SD, size=(vms, 1))
+        return vm_means + rng.normal(0.0, SYNTHETIC_WITHIN_VM_SD, size=(vms, depth))
 
     return MeasurementPool(
-        base=draw(base_mean),
-        changed=draw(base_mean + gamma * between_vm_sd),
+        base=draw(SYNTHETIC_BASE_MEAN),
+        changed=draw(SYNTHETIC_BASE_MEAN + gamma * SYNTHETIC_BETWEEN_VM_SD),
         repetitions=repetitions,
     )
 
@@ -248,14 +259,17 @@ def estimate_f1(
     """Resample the pool and count the detector's confusion matrix.
 
     Per round, a changed-pair trial draws ``vms`` VMs without replacement
-    from each version's pool, and a same-version trial draws two disjoint
-    subsets from the base pool (independent subsets when the pool is too
-    shallow for disjoint ones).
+    from each version's pool, and a same-version trial splits a permutation
+    of the base pool into two disjoint subsets of ``vms`` VMs, so the base
+    pool must hold at least ``2 * vms`` VMs.
     """
     n_base = pool.base.shape[0]
     n_changed = pool.changed.shape[0]
-    if vms > n_base or vms > n_changed:
-        raise ValueError(f"cell needs {vms} VMs but the pool holds {n_base}/{n_changed}")
+    if 2 * vms > n_base or vms > n_changed:
+        raise ValueError(
+            f"cell needs {2 * vms} base and {vms} changed VMs "
+            f"but the pool holds {n_base}/{n_changed}"
+        )
     if 2 * iterations > pool.depth:
         raise ValueError(
             f"cell needs {2 * iterations} recorded iterations but the pool holds {pool.depth}"
@@ -283,12 +297,8 @@ def estimate_f1(
         else:
             fn += 1
 
-        if n_base >= 2 * vms:
-            perm = rng.permutation(n_base)
-            first, second = perm[:vms], perm[vms : 2 * vms]
-        else:
-            first = rng.choice(n_base, size=vms, replace=False)
-            second = rng.choice(n_base, size=vms, replace=False)
+        perm = rng.permutation(n_base)
+        first, second = perm[:vms], perm[vms : 2 * vms]
         outcome = decide(base_values[first], base_values[second], decision)
         if outcome.changed:
             fp += 1
@@ -311,7 +321,6 @@ def select_configuration(
     grid: F1Grid,
     f1_threshold: float = F1_THRESHOLD,
     monotonicity_tolerance: float = MONOTONICITY_TOLERANCE,
-    parallel_pairs: bool = False,
 ) -> SelectionResult:
     """Apply the three selection rules to a grid.
 
@@ -322,7 +331,7 @@ def select_configuration(
     repetition count.
     """
     if not grid.cells:
-        return SelectionResult(None, None, False, "empty grid")
+        return SelectionResult(False, "empty grid", None, None)
 
     def monotone_safe(cell: GridCell) -> bool:
         return all(
@@ -337,7 +346,7 @@ def select_configuration(
     best_overall = max(grid.cells, key=lambda c: c.f1)
     if not qualifiers:
         return SelectionResult(
-            None, best_overall, False, f"no cell reaches F1 >= {f1_threshold}"
+            False, f"no cell reaches F1 >= {f1_threshold}", None, best_overall
         )
 
     chosen = min(
@@ -349,9 +358,8 @@ def select_configuration(
         warmup_iterations=chosen.iterations,
         measurement_iterations=chosen.iterations,
         repetitions=chosen.repetitions,
-        parallel_pairs=parallel_pairs,
     )
-    return SelectionResult(config, chosen, True, "selected")
+    return SelectionResult(True, "selected", config, chosen)
 
 
 def _estimate_grid(
@@ -390,12 +398,7 @@ def _average_grids(grids: list[F1Grid]) -> F1Grid:
     return F1Grid(cells=tuple(cells))
 
 
-def tune(
-    plan: TunerPlan,
-    clock=None,
-    out_dir=None,
-    parallel_pairs: bool = False,
-) -> TunerReport:
+def tune(plan: TunerPlan, clock=None, out_dir=None) -> TunerReport:
     """Record (or synthesize) pools, estimate the full grid, select the best cell."""
     started = time.perf_counter()
     per_workload: dict[str, F1Grid] = {}
@@ -416,7 +419,7 @@ def tune(
         per_workload[kind.value] = _estimate_grid(pools, plan)
 
     average = _average_grids(list(per_workload.values()))
-    selection = select_configuration(average, parallel_pairs=parallel_pairs)
+    selection = select_configuration(average)
     return TunerReport(
         plan=plan,
         per_workload_grids=per_workload,
@@ -435,40 +438,10 @@ def grid_to_csv(grid: F1Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_document(report: TunerReport, include_wall_time: bool = False) -> dict:
-    """JSON-ready view of a report.
+def report_to_document(report: TunerReport) -> dict:
+    """JSON-ready view of a report: its plan and selection.
 
-    Wall time is excluded by default so report files are byte-identical
-    across reruns with the same seed.
+    Wall time is left out so report files are byte-identical across reruns
+    with the same seed.
     """
-    plan = report.plan
-    doc = {
-        "plan": {
-            "workload_kinds": [k.value for k in plan.workload_kinds],
-            "size_s": plan.size_s,
-            "delta_ops": plan.delta_ops,
-            "delta_ns": plan.delta_ns,
-            "repetitions_grid": list(plan.repetitions_grid),
-            "vm_grid": list(plan.vm_grid),
-            "iteration_grid": list(plan.iteration_grid),
-            "max_vms": plan.max_vms,
-            "max_iterations": plan.max_iterations,
-            "resamples": plan.resamples,
-            "decision": plan.decision.to_dict(),
-            "seed": plan.seed,
-            "synthetic_gamma": plan.synthetic_gamma,
-        },
-        "selection": {
-            "feasible": report.selection.feasible,
-            "reason": report.selection.reason,
-            "config": None,
-            "cell": None,
-        },
-    }
-    if report.selection.config is not None:
-        doc["selection"]["config"] = report.selection.config.to_dict()
-    if report.selection.cell is not None:
-        doc["selection"]["cell"] = asdict(report.selection.cell)
-    if include_wall_time:
-        doc["wall_time_seconds"] = report.wall_time_seconds
-    return doc
+    return {"plan": to_document(report.plan), "selection": to_document(report.selection)}

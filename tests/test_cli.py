@@ -221,6 +221,16 @@ def test_stddev_sweep_rows_and_recomputation(tmp_path):
         assert float(relative) == pytest.approx(summary.relative_stddev, abs=1e-12)
 
 
+def test_stddev_sweep_rejects_one_vm_before_any_campaign(tmp_path):
+    series_dir = tmp_path / "series"
+    result = runner.invoke(main, [
+        "stddev-sweep", "--workload", "add", "--sizes", "10,20", *ONE_VM,
+        "--series-dir", str(series_dir),
+    ])
+    assert result.exit_code == 2, result.output
+    assert not list(series_dir.glob("sweep_*.json"))
+
+
 def test_stddev_sweep_allocate_budget(tmp_path):
     result = runner.invoke(main, [
         "stddev-sweep", "--workload", "allocate", "--sizes", "10000000",
@@ -290,3 +300,53 @@ def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("error: executor failed for vm 0: ")
     assert not (tmp_path / "f").exists()
+
+
+# --- document layouts ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    d = tmp_path_factory.mktemp("documents")
+    write_series(d / "old.json", [100, 101, 102])
+    write_series(d / "new.json", [200, 201, 202])
+    verdict = runner.invoke(main, ["compare", str(d / "old.json"), str(d / "new.json")])
+    runner.invoke(main, [
+        "tune", "--workload", "add", "--synthetic", "gamma=3", "--vm-grid", "2",
+        "--iteration-grid", "1", "--repetitions-grid", "10", "--resamples", "5",
+        "--out", str(d / "tune"),
+    ])
+    runner.invoke(main, [
+        "inject", "--workload", "add", "--size", "10", "--trials", "1", "--vms", "2",
+        "--warmup", "0", "--iterations", "1", "--repetitions", "1", "--no-parallel",
+        "--out", str(d / "study.json"),
+    ])
+    return {
+        "verdict": json.loads(verdict.stdout),
+        "report": json.loads((d / "tune" / "report.json").read_text()),
+        "study": json.loads((d / "study.json").read_text()),
+    }
+
+
+@pytest.mark.parametrize("name, path, keys", [
+    ("verdict", [], ["changed", "test", "statistic", "p_value", "effect_size", "n_old",
+                     "n_new", "alpha"]),
+    ("report", [], ["plan", "selection"]),
+    ("report", ["plan"], ["workload_kinds", "size_s", "delta_ops", "delta_ns",
+                          "repetitions_grid", "vm_grid", "iteration_grid", "max_vms",
+                          "max_iterations", "resamples", "decision", "seed",
+                          "synthetic_gamma"]),
+    ("report", ["selection"], ["feasible", "reason", "config", "cell"]),
+    ("report", ["selection", "cell"], ["vms", "iterations", "repetitions", "f1", "tp", "fp",
+                                       "fn", "tn"]),
+    ("study", [], ["workload", "delta_ns", "subset_fraction", "config", "decision", "trials",
+                   "detections", "erroneous", "detection_rate", "mean_effect_size",
+                   "mean_relative_stddev", "busywait_quantum_ns", "outcomes"]),
+    ("study", ["outcomes", 0], ["trial", "changed", "p_value", "effect_size", "error"]),
+], ids=["verdict", "report", "report.plan", "report.selection", "report.selection.cell",
+        "study", "study.outcomes[0]"])
+def test_document_key_order(documents, name, path, keys):
+    doc = documents[name]
+    for step in path:
+        doc = doc[step]
+    assert list(doc) == keys

@@ -15,6 +15,7 @@ from perfdelta.model import (
     WorkloadSpec,
     deserialize_series,
     serialize_series,
+    to_document,
 )
 
 FAKE = FakeClock(step_ns=1000)
@@ -210,8 +211,8 @@ def test_interrupt_while_waiting_reaps_every_child(monkeypatch, mode):
 
 def make_job():
     return {
-        "config": small_config(warmup_iterations=2).to_dict(),
-        "workload": add_spec().to_dict(),
+        "config": to_document(small_config(warmup_iterations=2)),
+        "workload": to_document(add_spec()),
         "clock": {"step_ns": 500},
         "cpu_affinity": None,
     }
@@ -233,14 +234,16 @@ def test_in_process_reexecution_is_detectable():
 
 
 class GcCountingClock(FakeClock):
-    """Records the collector's generation counts at every read."""
+    """Records the collector's generation and frozen counts at every read."""
 
     def __init__(self):
         super().__init__(step_ns=1)
         self.counts = []
+        self.frozen = []
 
     def read(self) -> int:
         self.counts.append(gc.get_count())
+        self.frozen.append(gc.get_freeze_count())
         return super().read()
 
 
@@ -248,6 +251,12 @@ def test_timed_loop_starts_after_a_full_collection():
     clock = GcCountingClock()
     execute_job(make_job(), clock=clock)
     assert clock.counts[0][1:] == (0, 0)
+
+
+def test_timed_loop_starts_with_the_import_heap_frozen():
+    clock = GcCountingClock()
+    execute_job(make_job(), clock=clock)
+    assert clock.frozen[0] > 0
 
 
 def test_backwards_clock_is_fatal():

@@ -11,9 +11,15 @@ from perfdelta.injection import (
     predict_detectability,
     run_injection_study,
     study_summary_csv,
-    study_to_document,
 )
-from perfdelta.model import DecisionConfig, MeasurementConfig, StatTest, WorkloadKind, WorkloadSpec
+from perfdelta.model import (
+    DecisionConfig,
+    MeasurementConfig,
+    StatTest,
+    WorkloadKind,
+    WorkloadSpec,
+    to_document,
+)
 from perfdelta.power import type_ii_error
 from perfdelta.stats import decide
 from perfdelta.workloads import SplitMix64
@@ -40,7 +46,7 @@ def test_study_config_equality_between_variants():
     report = run_injection_study(ADD, 50, TINY, MW, trials=1, clock=FakeClock(step_ns=1000))
     assert report.delta_ns == 50
     assert report.config == TINY
-    doc = study_to_document(report)
+    doc = to_document(report)
     assert doc["workload"]["size"] == ADD.size
     assert doc["config"]["vms"] == 2
     assert len(doc["outcomes"]) == 1

@@ -17,6 +17,7 @@ from perfdelta.model import (
     WorkloadSpec,
     deserialize_series,
     serialize_series,
+    to_document,
 )
 
 
@@ -225,12 +226,12 @@ workload_specs = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(measurement_configs)
 def test_measurement_config_codec_round_trip(config):
-    doc = json.loads(json.dumps(config.to_dict()))
+    doc = json.loads(json.dumps(to_document(config)))
     assert MeasurementConfig.from_dict(doc, "config") == config
 
 
 @settings(max_examples=200, deadline=None)
 @given(workload_specs)
 def test_workload_spec_codec_round_trip(spec):
-    doc = json.loads(json.dumps(spec.to_dict()))
+    doc = json.loads(json.dumps(to_document(spec)))
     assert WorkloadSpec.from_dict(doc, "workload") == spec

@@ -160,6 +160,10 @@ def test_estimate_f1_bounds():
         estimate_f1(pool, 11, 3, MW, resamples=5, seed=0)
     with pytest.raises(ValueError):
         estimate_f1(pool, 5, 4, MW, resamples=5, seed=0)
+    # A same-version trial splits the base pool into two disjoint subsets.
+    shallow = make_synthetic_pool(1.0, 9, 6, 100, seed=4)
+    with pytest.raises(ValueError, match="10 base"):
+        estimate_f1(shallow, 5, 3, MW, resamples=5, seed=0)
 
 
 def test_estimate_f1_deterministic():
