@@ -3,7 +3,8 @@
 Protocol: the parent writes a single JSON job document to the child's
 standard input: ``{"config": ..., "workload": ..., "clock": ...,
 "cpu_affinity": ...}``, the first two a :class:`MeasurementConfig` and a
-:class:`WorkloadSpec` in the layout of :func:`~perfdelta.model.to_document`.
+:class:`WorkloadSpec` in the layout of :func:`~perfdelta.model.to_document`,
+read back with :func:`~perfdelta.model.from_document`.
 The child replies with one JSON result line on standard output.  Exit code 0
 means success; on failure a structured JSON error is written to standard
 error and the exit code is nonzero.
@@ -21,7 +22,7 @@ import sys
 import time
 
 from . import workloads
-from .model import MeasurementConfig, WorkloadSpec
+from .model import MeasurementConfig, WorkloadSpec, from_document
 from .workloads import create_instance
 
 
@@ -83,8 +84,8 @@ def execute_job(job: dict, clock=None) -> dict:
     executions_at_start = _EXECUTED_CAMPAIGNS
     _EXECUTED_CAMPAIGNS += 1
 
-    config = MeasurementConfig.from_dict(job.get("config"), "config")
-    spec = WorkloadSpec.from_dict(job.get("workload"), "workload")
+    config = from_document(MeasurementConfig, job.get("config"), "config")
+    spec = from_document(WorkloadSpec, job.get("workload"), "workload")
     workloads.check_memory_budget(
         spec,
         iterations=config.warmup_iterations + config.measurement_iterations,
@@ -130,7 +131,7 @@ def execute_job(job: dict, clock=None) -> dict:
 
 def main() -> int:
     try:
-        job = json.loads(sys.stdin.read())
+        job = from_document(dict, json.loads(sys.stdin.read()))
         affinity = job.get("cpu_affinity")
         if affinity and hasattr(os, "sched_setaffinity"):
             os.sched_setaffinity(0, set(affinity))

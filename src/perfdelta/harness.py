@@ -18,7 +18,8 @@ import sys
 
 from . import workloads
 from .executor import FakeClock
-from .model import MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec, to_document, utc_now
+from .model import MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
+from .model import from_document, to_document, utc_now
 
 log = logging.getLogger(__name__)
 
@@ -82,19 +83,15 @@ def _finish(
     if not lines:
         raise CampaignError(vm_index, "executor produced no result line", version)
     try:
-        result = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
-        raise CampaignError(vm_index, f"unparseable result line: {exc}", version) from exc
-    if result.get("executions_at_start") != 0:
-        raise CampaignError(
-            vm_index,
-            f"executor was not fresh (counter={result.get('executions_at_start')})",
-            version,
-        )
-    return (
-        VmRun(vm_index, tuple(result["warmup_ns"]), tuple(result["measurement_ns"])),
-        result["clock_resolution_ns"],
-    )
+        result = from_document(dict, json.loads(lines[-1]))
+        run = from_document(VmRun, {**result, "vm_index": vm_index})
+        resolution = from_document(int, result.get("clock_resolution_ns"), "clock_resolution_ns")
+        executions = from_document(int, result.get("executions_at_start"), "executions_at_start")
+    except ValueError as exc:
+        raise CampaignError(vm_index, f"bad result line: {exc}", version) from exc
+    if executions != 0:
+        raise CampaignError(vm_index, f"executor was not fresh (counter={executions})", version)
+    return run, resolution
 
 
 def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:

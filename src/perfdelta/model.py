@@ -5,15 +5,21 @@ per-repetition values are derived by dividing last, so no precision is lost
 to rounding.  Every type validates its invariants at construction time and
 instances are immutable afterwards, so they are safe to share between
 concurrent readers.
+
+Every document perfdelta writes is encoded by :func:`to_document` and every
+one it reads is decoded by its inverse, :func:`from_document`, which walks
+the same dataclass fields and names the offending field on any mismatch.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import functools
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 FORMAT_VERSION = "1"
 
@@ -47,21 +53,6 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
-def _expect_object(doc: Any, path: str) -> Mapping[str, Any]:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
-    return doc
-
-
-def _expect(doc: Mapping[str, Any], key: str, kind: type | tuple[type, ...], path: str) -> Any:
-    if key not in doc:
-        raise SchemaError(f"{path}{key}", "missing field")
-    value = doc[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise SchemaError(f"{path}{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Full parametrization of one measurement campaign.
@@ -88,21 +79,6 @@ class MeasurementConfig:
             "must be >= 1",
         )
         _require(self.repetitions >= 1, "config.repetitions", "must be >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: Any, path: str) -> MeasurementConfig:
-        """Strictly decode :func:`to_document` output; errors name ``path.<field>``."""
-        doc, prefix = _expect_object(doc, path), f"{path}."
-        return cls(
-            vms=_expect(doc, "vms", int, prefix),
-            warmup_iterations=_expect(doc, "warmup_iterations", int, prefix),
-            measurement_iterations=_expect(doc, "measurement_iterations", int, prefix),
-            repetitions=_expect(doc, "repetitions", int, prefix),
-            trigger_gc_between_iterations=_expect(
-                doc, "trigger_gc_between_iterations", bool, prefix
-            ),
-            parallel_pairs=_expect(doc, "parallel_pairs", bool, prefix),
-        )
 
 
 @dataclass(frozen=True)
@@ -131,25 +107,6 @@ class WorkloadSpec:
             0.0 <= self.delay_subset_fraction <= 1.0,
             "workload.delay_subset_fraction",
             "must be in [0, 1]",
-        )
-
-    @classmethod
-    def from_dict(cls, doc: Any, path: str) -> WorkloadSpec:
-        """Strictly decode :func:`to_document` output; errors name ``path.<field>``."""
-        doc, prefix = _expect_object(doc, path), f"{path}."
-        kind_name = _expect(doc, "kind", str, prefix)
-        try:
-            kind = WorkloadKind(kind_name)
-        except ValueError as exc:
-            raise SchemaError(f"{prefix}kind", f"unknown kind {kind_name!r}") from exc
-        return cls(
-            kind=kind,
-            size=_expect(doc, "size", int, prefix),
-            injected_delay_ns=_expect(doc, "injected_delay_ns", int, prefix),
-            seed=_expect(doc, "seed", int, prefix),
-            delay_subset_fraction=float(
-                _expect(doc, "delay_subset_fraction", (int, float), prefix)
-            ),
         )
 
 
@@ -281,15 +238,64 @@ def serialize_series(series: MeasurementSeries) -> bytes:
     return json.dumps(document, indent=2).encode("utf-8") + b"\n"
 
 
-def _int_list(values: Any, path: str) -> list[int]:
-    if not isinstance(values, list):
-        raise SchemaError(path, "expected an array")
-    out = []
-    for i, v in enumerate(values):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"{path}[{i}]", "nanosecond values must be integers")
-        out.append(v)
-    return out
+@functools.cache
+def _field_types(kind: type) -> tuple[tuple[str, Any], ...]:
+    hints = get_type_hints(kind)
+    return tuple((f.name, hints[f.name]) for f in fields(kind))
+
+
+def from_document(kind: Any, doc: Any, path: str = "$") -> Any:
+    """Strictly decode ``doc``, the :func:`to_document` layout of a ``kind``.
+
+    A dataclass needs an object holding every field (extra keys are
+    ignored), a ``tuple[X, ...]`` an array, a ``Mapping[str, str]`` an
+    object of strings, a datetime an ISO-8601 string and an enum one of its
+    values; a float accepts an int, and a bool is never an int or a float.
+    Raises :class:`SchemaError` naming the offending field, e.g.
+    ``vm_runs[1].measurement_ns[0]``; ``path`` ``"$"`` is the document root.
+    """
+    if is_dataclass(kind):
+        if not isinstance(doc, dict):
+            raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
+        prefix = "" if path == "$" else f"{path}."
+        values = {}
+        for name, field_kind in _field_types(kind):
+            if name not in doc:
+                raise SchemaError(prefix + name, "missing field")
+            values[name] = from_document(field_kind, doc[name], prefix + name)
+        return kind(**values)
+    origin = get_origin(kind)
+    if origin is tuple:
+        if not isinstance(doc, list):
+            raise SchemaError(path, f"expected an array, got {type(doc).__name__}")
+        item_kind = get_args(kind)[0]
+        if set(map(type, doc)) <= {item_kind}:  # one C-level pass over duration arrays
+            return tuple(doc)
+        return tuple(from_document(item_kind, item, f"{path}[{i}]") for i, item in enumerate(doc))
+    if origin is collections.abc.Mapping:
+        if not isinstance(doc, dict) or not all(
+            isinstance(key, str) and isinstance(value, str) for key, value in doc.items()
+        ):
+            raise SchemaError(path, "must map strings to strings")
+        return doc
+    if kind is datetime:
+        try:
+            return datetime.fromisoformat(doc)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(path, f"not an ISO-8601 instant: {doc!r}") from exc
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        try:
+            return kind(doc)
+        except ValueError as exc:
+            raise SchemaError(path, f"unknown {kind.__name__} {doc!r}") from exc
+    if kind is float and type(doc) is int:
+        try:
+            return float(doc)
+        except OverflowError as exc:
+            raise SchemaError(path, "number out of range") from exc
+    if not isinstance(doc, kind) or (isinstance(doc, bool) and kind is not bool):
+        raise SchemaError(path, f"expected {kind.__name__}, got {type(doc).__name__}")
+    return doc
 
 
 def deserialize_series(data: bytes | str) -> MeasurementSeries:
@@ -302,51 +308,12 @@ def deserialize_series(data: bytes | str) -> MeasurementSeries:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "top-level value must be an object")
-
-    version = _expect(doc, "format_version", str, "")
+    version = from_document(dict, doc).get("format_version")
     if version != FORMAT_VERSION:
         raise SchemaError(
             "format_version", f"unsupported version {version!r}, expected {FORMAT_VERSION!r}"
         )
-
-    config = MeasurementConfig.from_dict(_expect(doc, "config", dict, ""), "config")
-    workload = WorkloadSpec.from_dict(_expect(doc, "workload", dict, ""), "workload")
-
-    raw_timestamp = _expect(doc, "timestamp", str, "")
-    try:
-        timestamp = datetime.fromisoformat(raw_timestamp)
-    except ValueError as exc:
-        raise SchemaError("timestamp", f"not an ISO-8601 instant: {raw_timestamp!r}") from exc
-
-    environment = _expect(doc, "environment", dict, "")
-    for key, value in environment.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise SchemaError("environment", "must map strings to strings")
-
-    raw_runs = _expect(doc, "vm_runs", list, "")
-    runs = []
-    for i, raw in enumerate(raw_runs):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"vm_runs[{i}]", "expected an object")
-        runs.append(
-            VmRun(
-                vm_index=_expect(raw, "vm_index", int, f"vm_runs[{i}]."),
-                warmup_ns=tuple(_int_list(raw.get("warmup_ns"), f"vm_runs[{i}].warmup_ns")),
-                measurement_ns=tuple(
-                    _int_list(raw.get("measurement_ns"), f"vm_runs[{i}].measurement_ns")
-                ),
-            )
-        )
-
-    return MeasurementSeries(
-        config=config,
-        workload=workload,
-        timestamp=timestamp,
-        environment=environment,
-        vm_runs=tuple(runs),
-    )
+    return from_document(MeasurementSeries, doc)
 
 
 def utc_now() -> datetime:

@@ -99,12 +99,6 @@ class GridCell:
 class F1Grid:
     cells: tuple[GridCell, ...]
 
-    def cell(self, vms: int, iterations: int, repetitions: int) -> GridCell:
-        for c in self.cells:
-            if (c.vms, c.iterations, c.repetitions) == (vms, iterations, repetitions):
-                return c
-        raise KeyError((vms, iterations, repetitions))
-
 
 @dataclass(frozen=True)
 class SelectionResult:

@@ -77,3 +77,22 @@ def record_launches(monkeypatch) -> list:
     monkeypatch.setattr(harness, "_spawn", spawn)
     monkeypatch.setattr(harness, "_finish", finish)
     return events
+
+
+class _ScriptedChild:
+    """Stands in for an executor process that exits 0 after printing ``line``."""
+
+    returncode = 0
+
+    def __init__(self, line: str):
+        self.line = line
+
+    def communicate(self):
+        return self.line + "\n", ""
+
+
+def reply_with(monkeypatch, line: str) -> None:
+    """Make every executor start in ``perfdelta.harness`` reply ``line``."""
+    from perfdelta import harness
+
+    monkeypatch.setattr(harness, "_spawn", lambda job: _ScriptedChild(line))

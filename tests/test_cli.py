@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_series
+from conftest import make_series, reply_with
 from perfdelta.cli import main
 from perfdelta.model import deserialize_series, serialize_series
 
@@ -300,6 +300,16 @@ def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("error: executor failed for vm 0: ")
     assert not (tmp_path / "f").exists()
+
+
+def test_malformed_result_line_exits_with_executor_code(tmp_path, monkeypatch):
+    reply_with(monkeypatch, '{"executions_at_start": 0}')
+    result = runner.invoke(main, [
+        "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(tmp_path / "f"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: executor failed for vm 0: ")
+    assert "Traceback" not in result.output
 
 
 # --- document layouts ----------------------------------------------------------

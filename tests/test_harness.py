@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import record_launches
+from conftest import record_launches, reply_with
 from perfdelta import harness
 from perfdelta.executor import ClockError, FakeClock, execute_job
 from perfdelta.harness import CampaignError, run_campaign, run_paired_campaign
@@ -111,6 +111,18 @@ def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
         run_campaign(small_config(), add_spec())
     assert excinfo.value.vm_index == 0
     assert "size" in excinfo.value.diagnostics
+
+
+@pytest.mark.parametrize("line", [
+    '{"executions_at_start": 0}',
+    "[1]",
+    '{"warmup_ns": [1, 1, 1], "measurement_ns": [1.5, 1, 1], '
+    '"clock_resolution_ns": 1, "executions_at_start": 0}',
+], ids=["missing-field", "non-object", "float-duration"])
+def test_malformed_result_line_is_an_executor_failure(monkeypatch, line):
+    reply_with(monkeypatch, line)
+    with pytest.raises(CampaignError, match="vm 0"):
+        run_campaign(small_config(), add_spec(), clock=FAKE)
 
 
 def test_paired_failure_names_the_version(monkeypatch):
@@ -300,6 +312,10 @@ def test_executor_rejects_job_with_missing_field():
     job = make_job()
     del job["config"]["repetitions"]
     assert_schema_error(run_executor(job), "config.repetitions")
+
+
+def test_executor_rejects_non_object_job():
+    assert_schema_error(run_executor([]), "$")
 
 
 def test_executor_rejects_job_with_wrong_typed_field():

@@ -16,6 +16,7 @@ from perfdelta.model import (
     WorkloadKind,
     WorkloadSpec,
     deserialize_series,
+    from_document,
     serialize_series,
     to_document,
 )
@@ -227,11 +228,46 @@ workload_specs = st.builds(
 @given(measurement_configs)
 def test_measurement_config_codec_round_trip(config):
     doc = json.loads(json.dumps(to_document(config)))
-    assert MeasurementConfig.from_dict(doc, "config") == config
+    assert from_document(MeasurementConfig, doc) == config
 
 
 @settings(max_examples=200, deadline=None)
 @given(workload_specs)
 def test_workload_spec_codec_round_trip(spec):
     doc = json.loads(json.dumps(to_document(spec)))
-    assert WorkloadSpec.from_dict(doc, "workload") == spec
+    assert from_document(WorkloadSpec, doc) == spec
+
+
+# Each case breaks one field of the golden series; the error must name it.
+DECODE_ERRORS = [
+    ("config.vms", lambda doc: doc["config"].update(vms=True)),
+    ("vm_runs[0].warmup_ns[0]", lambda doc: doc["vm_runs"][0]["warmup_ns"].__setitem__(0, 1.5)),
+    ("vm_runs[0].measurement_ns", lambda doc: doc["vm_runs"][0].pop("measurement_ns")),
+    ("workload.kind", lambda doc: doc["workload"].update(kind="divide")),
+    ("timestamp", lambda doc: doc.update(timestamp="yesterday")),
+    ("environment", lambda doc: doc["environment"].update(cpu=4)),
+    ("config", lambda doc: doc.update(config=[])),
+    ("vm_runs", lambda doc: doc.update(vm_runs={})),
+]
+
+
+@pytest.mark.parametrize(
+    "path, corrupt",
+    DECODE_ERRORS,
+    ids=["bool-int", "float-duration", "missing-field", "unknown-enum", "bad-timestamp",
+         "non-string-environment", "non-object", "non-array"],
+)
+def test_decode_error_names_the_field(path, corrupt):
+    doc = json.loads(GOLDEN_SERIES.read_bytes())
+    corrupt(doc)
+    with pytest.raises(SchemaError) as excinfo:
+        deserialize_series(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
+def test_integer_beyond_float_range_is_a_schema_error():
+    doc = json.loads(GOLDEN_SERIES.read_bytes())
+    doc["workload"]["delay_subset_fraction"] = 10**400
+    with pytest.raises(SchemaError) as excinfo:
+        deserialize_series(json.dumps(doc))
+    assert excinfo.value.path == "workload.delay_subset_fraction"
