@@ -19,9 +19,6 @@ from .power import type_ii_error
 from .stats import decide, summarize
 from .workloads import _GOLDEN, SplitMix64, busy_wait_ns
 
-#: Default delay grid for studies, anchored at the smallest interesting delta.
-DEFAULT_DELTA_GRID_NS = (0, 5, 50, 500)
-
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -104,6 +101,8 @@ def run_injection_study(
         raise ValueError("trials must be >= 1")
     if delta_ns < 0:
         raise ValueError("delta_ns must be >= 0")
+    if config.vms < 2:
+        raise ValueError("vms must be >= 2: each trial summarizes per-VM means")
 
     detections = 0
     erroneous = 0
@@ -190,11 +189,3 @@ def predict_detectability(
         sigma_per_execution_ns=sigma,
         added_ns_per_execution=float(added),
     )
-
-
-def study_summary_csv(reports) -> str:
-    lines = ["delta_ns,trials,detections,rate,mean_gamma"]
-    for r in reports:
-        gamma = "" if r.mean_effect_size is None else repr(r.mean_effect_size)
-        lines.append(f"{r.delta_ns},{r.trials},{r.detections},{r.detection_rate!r},{gamma}")
-    return "\n".join(lines) + "\n"

@@ -5,7 +5,8 @@ sampling unit, since iterations inside one VM are autocorrelated.  Three
 tests are offered: Welch's t-test, Mann-Whitney U (exact by enumeration for
 small tie-free samples, tie-corrected normal approximation with continuity
 correction otherwise) and confidence-interval overlap with Student-t
-intervals.
+intervals.  Student-t tails are regularized incomplete beta functions by
+Lentz's continued fraction, and t quantiles are Newton steps on them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum
+from math import comb, fsum, lgamma
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri, stdtr, stdtrit
 
 from .model import DecisionConfig, MeasurementSeries, SeriesSummary, StatTest
 
@@ -52,19 +53,77 @@ def normal_cdf(x: float) -> float:
 def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise StatsError(f"normal_quantile requires p in (0, 1), got {p}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
-def t_quantile(p: float, df: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise StatsError(f"t_quantile requires p in (0, 1), got {p}")
-    if df < 1:
-        raise StatsError(f"t_quantile requires df >= 1, got {df}")
-    return float(stdtrit(df, p))
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), by Stirling's series once an argument reaches 100, where
+    lgamma(large + small) - lgamma(large) starts to lose digits."""
+    small, large = min(a, b), max(a, b)
+    if large < 100.0:
+        return lgamma(a) + lgamma(b) - lgamma(a + b)
+    tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (large, a + b)]
+    return (lgamma(small) + small - (large - 0.5) * math.log1p(small / large)
+            - small * math.log(large + small) + tails[0] - tails[1])
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with ``y`` = 1 - x passed apart:
+    Lentz's continued fraction below x = (a+1)/(a+b+2), where it converges
+    fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it."""
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    if x == 0.0:
+        return 0.0
+    front = math.exp(a * math.log(x) + b * math.log(y) - _log_beta(a, b)) / a
+    # d and c are the ratios of successive convergents; 1e-300 stands in for 0.
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
+    fraction, a2m = d, a
+    for m in range(1, 100_000):  # about sqrt(a) steps are needed
+        a2m += 2.0
+        coefficient = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 / ((1.0 + coefficient * d) or 1e-300)
+        c = (1.0 + coefficient / c) or 1e-300
+        fraction *= d * c
+        coefficient = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 / ((1.0 + coefficient * d) or 1e-300)
+        c = (1.0 + coefficient / c) or 1e-300
+        delta = d * c
+        fraction *= delta
+        if -1e-15 < delta - 1.0 < 1e-15:
+            break
+    return front * fraction
 
 
 def _t_sf(x: float, df: float) -> float:
-    return float(stdtr(df, -x))
+    """P(T > x) for x >= 0 and Student's t with ``df`` degrees of freedom."""
+    x2 = x * x
+    # 1 - df/(df + x²) is passed as x²/(df + x²), so tiny tails stay exact.
+    return 0.5 * _betainc(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
+
+
+@lru_cache(maxsize=1024)
+def t_quantile(p: float, df: float) -> float:
+    """The t with P(T <= t) = p, by Newton steps on log P(T > |t|) in log t,
+    where the far tail is nearly straight.  They start from the normal
+    quantile, which is never further out, and bisect once past the root."""
+    if not (0.0 < p < 1.0 and df >= 1):
+        raise StatsError(f"t_quantile requires p in (0, 1) and df >= 1, got {p}, {df}")
+    tail = min(p, 1.0 - p)  # 1 - p is exact when it is the smaller one
+    if tail == 0.5:
+        return 0.0
+    log_density0 = -0.5 * math.log(df) - _log_beta(0.5 * df, 0.5)
+    t, lo, hi = -normal_quantile(tail), 0.0, math.inf
+    for _ in range(60):  # rounding keeps steps from shrinking only near p = 0.5
+        sf = _t_sf(t, df)
+        h = math.log(sf / tail)
+        lo, hi = (t, hi) if h > 0.0 else (lo, t)
+        step = h * sf / (t * math.exp(log_density0 - 0.5 * (df + 1.0) * math.log1p(t * t / df)))
+        t_next = t * math.exp(step)
+        t = t_next if lo <= t_next <= hi else 0.5 * (lo + hi)
+        if abs(step) < 1e-10:
+            break
+    return t if p > 0.5 else -t
 
 
 # --- summaries -------------------------------------------------------------

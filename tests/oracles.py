@@ -79,6 +79,39 @@ def welch_p_highprecision(x, y) -> float:
     return float(p)
 
 
+def _t_tail(x, df):
+    """P(T > x) for x >= 0 and Student's t, as half a regularized incomplete beta."""
+    return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + x * x), regularized=True) / 2
+
+
+def t_sf_highprecision(x: float, df: float) -> float:
+    return float(_t_tail(mpmath.mpf(x), mpmath.mpf(df)))
+
+
+def t_quantile_highprecision(p: float, df: float) -> float:
+    """The t with P(T <= t) = p, by bracketed root finding in log t.
+
+    For df >= 1 the quantile of the upper tail q lies between the normal
+    quantile and the Cauchy one, cot(pi q).
+    """
+    p, df = mpmath.mpf(p), mpmath.mpf(df)
+    q = min(p, 1 - p)
+    if q == mpmath.mpf(1) / 2:
+        return 0.0
+
+    def excess(log_t):
+        return mpmath.log(_t_tail(mpmath.exp(log_t), df)) - mpmath.log(q)
+
+    lo = mpmath.log(mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * q))
+    hi = mpmath.log(mpmath.cot(mpmath.pi * q))
+    if excess(hi) >= 0:  # the Cauchy quantile itself, at df = 1
+        log_t = hi
+    else:
+        log_t = mpmath.findroot(excess, (lo, hi), solver="anderson")
+    t = float(mpmath.exp(log_t))
+    return t if p > mpmath.mpf(1) / 2 else -t
+
+
 def normal_quantile_highprecision(p: float) -> float:
     return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_series, reply_with
+from conftest import make_series, record_launches, reply_with
 from perfdelta.cli import main
 from perfdelta.model import deserialize_series, serialize_series
 
@@ -281,6 +281,16 @@ def test_invalid_values_exit_with_validation_code(tmp_path, args):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.output
+
+
+def test_inject_rejects_one_vm_before_any_executor_start(tmp_path, monkeypatch):
+    launches = record_launches(monkeypatch)
+    out = tmp_path / "study.json"
+    result = runner.invoke(main, [*INJECT, "--trials", "1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: vms must be >= 2")
+    assert launches == []
+    assert not out.exists()
 
 
 def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):

@@ -6,11 +6,9 @@ from perfdelta import injection
 from perfdelta.executor import FakeClock
 from perfdelta.harness import CampaignError
 from perfdelta.injection import (
-    DEFAULT_DELTA_GRID_NS,
     measure_busywait_quantum,
     predict_detectability,
     run_injection_study,
-    study_summary_csv,
 )
 from perfdelta.model import (
     DecisionConfig,
@@ -86,20 +84,18 @@ def test_trial_validation():
         run_injection_study(ADD, -1, TINY, MW, trials=1)
 
 
-def test_default_delta_grid_anchor():
-    assert DEFAULT_DELTA_GRID_NS == (0, 5, 50, 500)
+def test_one_vm_rejected_before_any_campaign(monkeypatch):
+    calls = []
+    monkeypatch.setattr(injection, "run_paired_campaign", lambda *args, **kw: calls.append(args))
+    one_vm = MeasurementConfig(vms=1, warmup_iterations=0, measurement_iterations=1,
+                               repetitions=1)
+    with pytest.raises(ValueError, match="vms must be >= 2"):
+        run_injection_study(ADD, 5, one_vm, MW, trials=3, clock=FakeClock(step_ns=1000))
+    assert calls == []
 
 
 def test_busywait_quantum_positive():
     assert measure_busywait_quantum() >= 1
-
-
-def test_summary_csv_shape():
-    report = run_injection_study(ADD, 5, TINY, MW, trials=2, clock=FakeClock(step_ns=1000))
-    text = study_summary_csv([report])
-    lines = text.strip().splitlines()
-    assert lines[0] == "delta_ns,trials,detections,rate,mean_gamma"
-    assert lines[1].startswith("5,2,0,")
 
 
 # --- predictions -----------------------------------------------------------

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_series
-from perfdelta.model import DecisionConfig, StatTest
+from perfdelta.model import DecisionConfig, StatTest, serialize_series
 from perfdelta.stats import (
     StatsError,
+    _t_sf,
     decide,
     effect_size,
     mann_whitney_approx_p,
@@ -317,17 +318,32 @@ def test_midranks_match_counting_oracle(values):
 
 
 @pytest.mark.parametrize("module", ["perfdelta.executor", "perfdelta.cli"])
-def test_import_does_not_load_scipy_stats(module):
+def test_import_does_not_load_scipy(module):
     code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     loaded = json.loads(proc.stdout)
-    assert "scipy.stats" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     if module == "perfdelta.executor":
-        # The VM child needs neither the analysis code nor any of scipy.
-        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+        # The VM child needs none of the analysis code.
         assert "perfdelta.stats" not in loaded
+
+
+@pytest.mark.parametrize("test", ["t", "ci", "mann-whitney"])
+def test_compare_runs_where_scipy_cannot_be_imported(tmp_path, test):
+    paths = []
+    for name, base in (("old", 1000), ("new", 1500)):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(serialize_series(make_series([[base + d] for d in (0, 7, -5, 3, -2)])))
+        paths.append(str(path))
+    code = 'import sys; sys.modules["scipy"] = None; from perfdelta.cli import main; main()'
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "compare", *paths, "--test", test],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 10, proc.stderr
+    assert json.loads(proc.stdout)["changed"] is True
 
 
 # --- quantiles -------------------------------------------------------------
@@ -363,3 +379,41 @@ def test_t_quantile_basics():
         t_quantile(1.5, 10)
     with pytest.raises(StatsError):
         normal_quantile(0.0)
+
+
+def test_t_quantile_cauchy_closed_form():
+    for p in np.linspace(0.01, 0.99, 99):
+        assert t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-12)
+
+
+def test_t_sf_two_degrees_closed_form():
+    for x in np.linspace(0.0, 20.0, 201):
+        want = 0.5 * (1.0 - x / math.sqrt(x * x + 2.0))
+        assert _t_sf(x, 2) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 2.5, 7, 30, 1000.5])
+def test_t_quantile_symmetry(df):
+    # Dyadic p, so 1 - p is exact and both calls see the same tail.
+    for p in [k / 64 for k in range(1, 64)] + [2.0**-20, 2.0**-40]:
+        assert t_quantile(1.0 - p, df) == -t_quantile(p, df)
+
+
+def test_t_tail_and_quantile_match_incomplete_beta_oracle():
+    rng = random.Random(41)
+    tails = []
+    for i in range(100):
+        df = math.exp(rng.uniform(0.0, math.log(13_000)))
+        # x runs from 0 out to where the tail is below 1e-30.
+        x_max = -oracles.t_quantile_highprecision(1e-31, df)
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(x_max)))
+        x = {0: 0.0, 1: x_max}.get(i % 10, x)
+        tail = oracles.t_sf_highprecision(x, df)
+        tails.append(tail)
+        assert _t_sf(x, df) == pytest.approx(tail, rel=1e-10)
+        p = tail if i % 2 else 1.0 - tail
+        if 0.0 < p < 1.0 and p != 0.5:
+            assert t_quantile(p, df) == pytest.approx(
+                oracles.t_quantile_highprecision(p, df), rel=1e-10
+            )
+    assert min(tails) < 1e-30 and max(tails) == 0.5
