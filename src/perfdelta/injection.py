@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .harness import CampaignError, run_paired_campaign
-from .model import DecisionConfig, MeasurementConfig, MeasurementSeries, WorkloadSpec
-from .power import type_ii_error
+from .model import DecisionConfig, MeasurementConfig, WorkloadSpec
 from .stats import decide, summarize
 from .workloads import _GOLDEN, SplitMix64, busy_wait_ns
 
@@ -44,14 +43,6 @@ class StudyReport:
     mean_relative_stddev: float | None
     busywait_quantum_ns: int
     outcomes: tuple[TrialOutcome, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class DetectabilityPrediction:
-    gamma_hat: float
-    beta: float
-    sigma_per_execution_ns: float
-    added_ns_per_execution: float
 
 
 def measure_busywait_quantum() -> int:
@@ -159,33 +150,3 @@ def run_injection_study(
         outcomes=tuple(outcomes),
     )
 
-
-def predict_detectability(
-    series_base: MeasurementSeries,
-    delta_ns: int,
-    config: MeasurementConfig,
-    alpha: float = 0.01,
-) -> DetectabilityPrediction:
-    """Analytic miss probability for a planned injection.
-
-    The added time per execution is size * delta; dividing by the base
-    series' per-execution spread gives the expected effect size, which the
-    boundary model turns into a Type II error at ``config.vms`` VMs.
-    """
-    summary = summarize(series_base)
-    added = series_base.workload.size * delta_ns
-    sigma = summary.stddev_ns
-    if sigma == 0:
-        gamma_hat = 0.0 if added == 0 else float("inf")
-    else:
-        gamma_hat = added / sigma
-    if gamma_hat == float("inf"):
-        beta = 0.0
-    else:
-        beta = type_ii_error(gamma_hat, config.vms, alpha)
-    return DetectabilityPrediction(
-        gamma_hat=gamma_hat,
-        beta=beta,
-        sigma_per_execution_ns=sigma,
-        added_ns_per_execution=float(added),
-    )

@@ -7,6 +7,10 @@ small tie-free samples, tie-corrected normal approximation with continuity
 correction otherwise) and confidence-interval overlap with Student-t
 intervals.  Student-t tails are regularized incomplete beta functions by
 Lentz's continued fraction, and t quantiles are Newton steps on them.
+
+``decide`` has one kernel for every shape: samples run along the last axis,
+so a batch of R sample pairs, such as the tuner's resampling rounds of one
+grid cell, is decided in one call.
 """
 
 from __future__ import annotations
@@ -32,15 +36,20 @@ class StatsError(ValueError):
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one two-sample change decision."""
+    """Result of a two-sample change decision: Python scalars for one pair of
+    samples, length-R arrays (one entry per row) for a batch of R pairs.
 
-    changed: bool
+    ``effect_size`` is the mean difference old - new over the pooled sample
+    standard deviation, so positive means the new version is faster.
+    """
+
+    changed: bool | np.ndarray
     test: StatTest
-    statistic: float
-    p_value: float | None
-    effect_size: float
-    n_old: int
-    n_new: int
+    statistic: float | np.ndarray
+    p_value: float | np.ndarray | None
+    effect_size: float | np.ndarray
+    n_old: int | np.ndarray
+    n_new: int | np.ndarray
 
 
 # --- distribution helpers --------------------------------------------------
@@ -129,14 +138,12 @@ def t_quantile(p: float, df: float) -> float:
 # --- summaries -------------------------------------------------------------
 
 
-def _mean(values) -> float:
-    return fsum(values) / len(values)
-
-
-def _sample_variance(values, mean: float | None = None) -> float:
-    if mean is None:
-        mean = _mean(values)
-    return fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+def _mean_and_variance(values: list[float]) -> tuple[float, float]:
+    """Mean and sample variance, each an exactly rounded sum (fsum) over two
+    passes, so a sample's moments do not depend on the order or the batch it
+    came in."""
+    mean = fsum(values) / len(values)
+    return mean, fsum([(v - mean) ** 2 for v in values]) / (len(values) - 1)
 
 
 def summarize(series: MeasurementSeries) -> SeriesSummary:
@@ -150,8 +157,8 @@ def summarize(series: MeasurementSeries) -> SeriesSummary:
     repetitions = series.config.repetitions
     per_vm = [fsum(run.measurement_ns) / len(run.measurement_ns) / repetitions
               for run in series.vm_runs]
-    mean = _mean(per_vm)
-    stddev = math.sqrt(_sample_variance(per_vm, mean))
+    mean, variance = _mean_and_variance(per_vm)
+    stddev = math.sqrt(variance)
     relative = stddev / mean if mean != 0 else 0.0
     return SeriesSummary(
         per_vm_means_ns=tuple(per_vm),
@@ -170,36 +177,11 @@ def remove_outliers(values, threshold: float) -> list[float]:
         raise StatsError("outlier removal needs at least 2 values")
     if threshold <= 0:
         raise StatsError("outlier threshold must be > 0")
-    mean = _mean(values)
-    stddev = math.sqrt(_sample_variance(values, mean))
+    mean, variance = _mean_and_variance(values)
+    stddev = math.sqrt(variance)
     if stddev == 0:
         return values
     return [v for v in values if abs(v - mean) / stddev <= threshold]
-
-
-def _pooled_effect(old, new) -> float:
-    n1, n2 = len(old), len(new)
-    m1, m2 = _mean(old), _mean(new)
-    v1 = _sample_variance(old, m1)
-    v2 = _sample_variance(new, m2)
-    pooled = math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
-    if pooled == 0:
-        if m1 == m2:
-            return 0.0
-        return math.copysign(math.inf, m1 - m2)
-    return (m1 - m2) / pooled
-
-
-def effect_size(summary_old: SeriesSummary, summary_new: SeriesSummary) -> float:
-    """Signed standardized mean difference over per-VM means.
-
-    Positive means the new version is faster (smaller durations); the
-    denominator is the pooled sample standard deviation.
-    """
-    for summary in (summary_old, summary_new):
-        if len(summary.per_vm_means_ns) < 2:
-            raise StatsError("effect size needs at least 2 VMs per summary")
-    return _pooled_effect(summary_old.per_vm_means_ns, summary_new.per_vm_means_ns)
 
 
 # --- Mann-Whitney ----------------------------------------------------------
@@ -246,6 +228,18 @@ def mann_whitney_approx_p(u_max: float, n1: int, n2: int, tie_sizes) -> float:
     return min(1.0, max(0.0, 2.0 * (1.0 - normal_cdf(z))))
 
 
+@lru_cache(maxsize=None)
+def _tie_free_p(n1: int, n2: int) -> np.ndarray:
+    """p-values of tie-free pairs by u_max, from (n1 * n2 + 1) // 2 up to
+    n1 * n2: exact up to EXACT_MANN_WHITNEY_LIMIT, approximated above it."""
+    exact = n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT
+    table = np.array([mann_whitney_exact_p(u, n1, n2) if exact
+                      else mann_whitney_approx_p(u, n1, n2, ())
+                      for u in range((n1 * n2 + 1) // 2, n1 * n2 + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def midranks(values) -> tuple[np.ndarray, list[int]]:
     """1-based ranks of ``values``, tied values sharing the mean of their
     ranks, and the sizes of the tie groups with more than one member."""
@@ -259,89 +253,122 @@ def midranks(values) -> tuple[np.ndarray, list[int]]:
     return ranks, sizes[sizes > 1].tolist()
 
 
-def _mann_whitney(old, new, alpha: float) -> tuple[bool, float, float]:
-    n1, n2 = len(old), len(new)
-    ranks, ties = midranks(list(old) + list(new))
-    r1 = float(ranks[:n1].sum())
-    u1 = r1 - n1 * (n1 + 1) / 2.0
+def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: U1, from the old sample's ranks, and the p-value.  A tie-free
+    row ranks by position, so U1 counts the (old, new) pairs with old > new,
+    and looks its p-value up by u_max; a row with a tie takes its midranks and
+    the tie-corrected approximation."""
+    n1, n2 = old.shape[1], new.shape[1]
+    pooled = np.concatenate((old, new), axis=1)
+    ordered = np.sort(pooled, axis=1, kind="stable")
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    u1 = np.add.reduce(old[:, :, None] > new[:, None, :], axis=(1, 2), dtype=np.float64)
+    tie_sizes = {}
+    for i in np.flatnonzero(tied):
+        ranks, tie_sizes[i] = midranks(pooled[i])
+        u1[i] = ranks[:n1].sum() - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
-    u_min, u_max = min(u1, u2), max(u1, u2)
-    if n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT and not ties:
-        p = mann_whitney_exact_p(u_max, n1, n2)
-    else:
-        p = mann_whitney_approx_p(u_max, n1, n2, ties)
-    return p < alpha, u_min, p
+    u_max = np.maximum(u1, u2)
+    p = _tie_free_p(n1, n2)[np.where(tied, n1 * n2, u_max).astype(np.intp) - (n1 * n2 + 1) // 2]
+    for i, ties in tie_sizes.items():
+        p[i] = mann_whitney_approx_p(float(u_max[i]), n1, n2, ties)
+    return np.minimum(u1, u2), p
 
 
 # --- Welch -----------------------------------------------------------------
 
 
-def _welch(old, new, alpha: float) -> tuple[bool, float, float]:
-    n1, n2 = len(old), len(new)
-    m1, m2 = _mean(old), _mean(new)
-    if m1 == m2:
-        return False, 0.0, 1.0
-    v1 = _sample_variance(old, m1)
-    v2 = _sample_variance(new, m2)
-    se_sq = v1 / n1 + v2 / n2
-    if se_sq == 0:
-        return True, math.copysign(math.inf, m1 - m2), 0.0
-    t = (m1 - m2) / math.sqrt(se_sq)
-    df = se_sq**2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-    p = 2.0 * _t_sf(abs(t), df)
-    return p < alpha, t, p
+def _welch(diff, v1, n1, v2, n2) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: t (0 for equal means, ±inf for two constant samples) and p."""
+    a, b = v1 / n1, v2 / n2
+    se_sq = a + b
+    t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
+    p = np.where(diff == 0, 1.0, 0.0)
+    for i in np.flatnonzero((diff != 0) & (se_sq != 0)):
+        # Python floats, so ** is libm's pow, as in _mean_and_variance; numpy
+        # squares round differently in the last bit.
+        a_i, b_i = float(a[i]), float(b[i])
+        df = (a_i + b_i) ** 2 / (a_i**2 / (n1 - 1) + b_i**2 / (n2 - 1))
+        p[i] = 2.0 * _t_sf(abs(float(t[i])), df)
+    return t, p
 
 
 # --- confidence-interval overlap -------------------------------------------
 
 
-def _confidence_interval(sample, alpha: float) -> tuple[float, float]:
-    n = len(sample)
-    mean = _mean(sample)
-    half = t_quantile(1.0 - alpha / 2.0, n - 1) * math.sqrt(_sample_variance(sample, mean) / n)
-    return mean - half, mean + half
+def _ci_gap(m1, v1, n1, m2, v2, n2, alpha: float) -> np.ndarray:
+    """Gap between the two Student-t intervals; positive when they are disjoint."""
+    half1 = t_quantile(1.0 - alpha / 2.0, n1 - 1) * np.sqrt(v1 / n1)
+    half2 = t_quantile(1.0 - alpha / 2.0, n2 - 1) * np.sqrt(v2 / n2)
+    below, above = (m1 - half1) - (m2 + half2), (m2 - half2) - (m1 + half1)
+    return np.where(above > below, above, below)
 
 
-def _ci_overlap(old, new, alpha: float) -> tuple[bool, float]:
-    lo1, hi1 = _confidence_interval(old, alpha)
-    lo2, hi2 = _confidence_interval(new, alpha)
-    gap = max(lo1 - hi2, lo2 - hi1)
-    return gap > 0, gap
+# --- decision kernel --------------------------------------------------------
 
 
-# --- decision entry point ---------------------------------------------------
+def _kernel(old: np.ndarray, new: np.ndarray, decision: DecisionConfig) -> tuple:
+    """changed, statistic, p-value (None for ci) and effect size, each a
+    length-R array, for every row of two (R, n1) and (R, n2) arrays."""
+    n1, n2 = old.shape[1], new.shape[1]
+    # Row by row, so that only one row is held as Python floats at a time.
+    (m1, v1), (m2, v2) = (
+        np.array([_mean_and_variance(row.tolist()) for row in x]).reshape(len(x), 2).T
+        for x in (old, new))
+    diff = m1 - m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Standardized mean difference over the pooled sd: ±inf for two
+        # constant samples, 0 for two equal constant ones.
+        pooled = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
+        effect = np.where((diff == 0) & (pooled == 0), 0.0, diff / pooled)
+        if decision.test is StatTest.WELCH_T:
+            statistic, p = _welch(diff, v1, n1, v2, n2)
+        elif decision.test is StatTest.MANN_WHITNEY:
+            statistic, p = _mann_whitney(old, new)
+        elif decision.test is StatTest.CI_OVERLAP:
+            statistic, p = _ci_gap(m1, v1, n1, m2, v2, n2, decision.alpha), None
+        else:
+            raise StatsError(f"unknown test: {decision.test}")
+    changed = statistic > 0 if p is None else p < decision.alpha
+    return changed, statistic, p, effect
 
 
 def decide(old, new, decision: DecisionConfig) -> TestOutcome:
-    """Decide "performance change / no change" between two per-VM mean samples."""
-    old = [float(v) for v in old]
-    new = [float(v) for v in new]
-    if len(old) < 2 or len(new) < 2:
+    """Decide "performance change / no change" between per-VM mean samples.
+
+    Samples run along the last axis.  Two 1-D samples give one decision in
+    Python scalars; two (R, n) batches give R decisions, one a row, with each
+    per-row field a length-R array.  Every shape runs the same kernel, so a
+    batched row decides exactly as its own 1-D call would.  Outlier removal
+    makes rows ragged, so it runs the kernel one row at a time.
+    """
+    old = np.asarray(old, dtype=np.float64)
+    new = np.asarray(new, dtype=np.float64)
+    single = old.ndim == 1 and new.ndim == 1
+    if single:
+        old, new = old[None], new[None]
+    if old.ndim != 2 or new.ndim != 2 or len(old) != len(new):
+        raise StatsError("decide takes two 1-D samples or two batches of R rows")
+    if old.shape[1] < 2 or new.shape[1] < 2:
         raise StatsError("decide needs at least 2 values per sample")
-    if decision.outlier_z is not None:
-        old = remove_outliers(old, decision.outlier_z)
-        new = remove_outliers(new, decision.outlier_z)
-        if len(old) < 2 or len(new) < 2:
-            raise StatsError("outlier removal left fewer than 2 values in a sample")
-
-    gamma = _pooled_effect(old, new)
-
-    if decision.test is StatTest.WELCH_T:
-        changed, statistic, p = _welch(old, new, decision.alpha)
-    elif decision.test is StatTest.MANN_WHITNEY:
-        changed, statistic, p = _mann_whitney(old, new, decision.alpha)
-    elif decision.test is StatTest.CI_OVERLAP:
-        changed, statistic = _ci_overlap(old, new, decision.alpha)
-        p = None
+    if decision.outlier_z is None:
+        changed, statistic, p, effect = _kernel(old, new, decision)
+        n_old, n_new = np.full(len(old), old.shape[1]), np.full(len(new), new.shape[1])
     else:
-        raise StatsError(f"unknown test: {decision.test}")
-
-    return TestOutcome(
-        changed=changed,
-        test=decision.test,
-        statistic=statistic,
-        p_value=p,
-        effect_size=gamma,
-        n_old=len(old),
-        n_new=len(new),
-    )
+        rows = []
+        for row_old, row_new in zip(old.tolist(), new.tolist()):
+            kept_old = remove_outliers(row_old, decision.outlier_z)
+            kept_new = remove_outliers(row_new, decision.outlier_z)
+            if len(kept_old) < 2 or len(kept_new) < 2:
+                raise StatsError("outlier removal left fewer than 2 values in a sample")
+            outcome = _kernel(np.array([kept_old]), np.array([kept_new]), decision)
+            rows.append((*outcome, [len(kept_old)], [len(kept_new)]))
+        changed, statistic, p, effect, n_old, n_new = (
+            None if column[0] is None else np.concatenate(column) for column in zip(*rows))
+    if single:
+        return TestOutcome(
+            changed=bool(changed[0]), test=decision.test, statistic=float(statistic[0]),
+            p_value=None if p is None else float(p[0]), effect_size=float(effect[0]),
+            n_old=int(n_old[0]), n_new=int(n_new[0]))
+    return TestOutcome(changed=changed, test=decision.test, statistic=statistic, p_value=p,
+                       effect_size=effect, n_old=n_old, n_new=n_new)

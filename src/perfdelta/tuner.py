@@ -255,7 +255,8 @@ def estimate_f1(
     Per round, a changed-pair trial draws ``vms`` VMs without replacement
     from each version's pool, and a same-version trial splits a permutation
     of the base pool into two disjoint subsets of ``vms`` VMs, so the base
-    pool must hold at least ``2 * vms`` VMs.
+    pool must hold at least ``2 * vms`` VMs.  All trials of the cell are
+    decided by one batched :func:`decide` call.
     """
     n_base = pool.base.shape[0]
     n_changed = pool.changed.shape[0]
@@ -276,28 +277,27 @@ def estimate_f1(
         lower = prefix[:, iterations - 1]
         return (upper - lower) / iterations
 
-    base_values = per_vm_values(pool.base)
-    changed_values = per_vm_values(pool.changed)
+    # Changed VM j is row n_base + j.
+    values = np.concatenate((per_vm_values(pool.base), per_vm_values(pool.changed)))
 
-    tp = fp = fn = tn = 0
+    # Each round keeps its own generator and draw order, and only fills index
+    # rows: row r holds round r's changed-pair trial and row resamples + r its
+    # same-version trial.  The whole cell is then decided in one batch.
+    old_rows = np.empty((2 * resamples, vms), dtype=np.intp)
+    new_rows = np.empty((2 * resamples, vms), dtype=np.intp)
     for round_idx in range(resamples):
         rng = _round_rng(seed, vms, iterations, pool.repetitions, round_idx)
-
-        idx_old = rng.choice(n_base, size=vms, replace=False)
-        idx_new = rng.choice(n_changed, size=vms, replace=False)
-        outcome = decide(base_values[idx_old], changed_values[idx_new], decision)
-        if outcome.changed:
-            tp += 1
-        else:
-            fn += 1
-
+        old_rows[round_idx] = rng.choice(n_base, size=vms, replace=False)
+        new_rows[round_idx] = rng.choice(n_changed, size=vms, replace=False)
         perm = rng.permutation(n_base)
-        first, second = perm[:vms], perm[vms : 2 * vms]
-        outcome = decide(base_values[first], base_values[second], decision)
-        if outcome.changed:
-            fp += 1
-        else:
-            tn += 1
+        old_rows[resamples + round_idx] = perm[:vms]
+        new_rows[resamples + round_idx] = perm[vms : 2 * vms]
+    new_rows[:resamples] += n_base
+
+    changed = decide(values[old_rows], values[new_rows], decision).changed
+    tp = int(changed[:resamples].sum())
+    fp = int(changed[resamples:].sum())
+    fn, tn = resamples - tp, resamples - fp
 
     return GridCell(
         vms=vms,

@@ -101,9 +101,6 @@ class WorkloadInstance:
         """Perform the operations of ``n`` executions."""
         raise NotImplementedError
 
-    def execute_once(self) -> None:
-        self.run_repetitions(1)
-
     def run_repetitions(self, n: int) -> None:
         """Execute the workload ``n`` times, then busy-wait ``n * added_ns``."""
         self._run(n)

@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 50
 
@@ -155,3 +156,38 @@ def pooled_effect_exact(x, y) -> float:
     if pooled == 0:
         return 0.0 if m1 == m2 else float("inf")
     return float((m1 - m2) / pooled)
+
+
+def estimate_f1_counts_per_round(pool, vms, iterations, decision, resamples, seed):
+    """(tp, fp, fn, tn) of a grid cell, deciding each resampling trial by its
+    own 1-D ``decide`` call.
+
+    This is the tuner's per-round loop as it was before its trials were
+    batched: the same generator per round and the same draws (``choice``,
+    ``choice``, ``permutation``), so a batched cell must count the same.
+    """
+    from perfdelta.stats import decide
+
+    def per_vm_values(matrix):
+        prefix = np.cumsum(matrix, axis=1)
+        return (prefix[:, 2 * iterations - 1] - prefix[:, iterations - 1]) / iterations
+
+    base_values, changed_values = per_vm_values(pool.base), per_vm_values(pool.changed)
+    n_base, n_changed = len(base_values), len(changed_values)
+    tp = fp = fn = tn = 0
+    for round_idx in range(resamples):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed, vms, iterations, pool.repetitions, round_idx])
+        )
+        idx_old = rng.choice(n_base, size=vms, replace=False)
+        idx_new = rng.choice(n_changed, size=vms, replace=False)
+        if decide(base_values[idx_old], changed_values[idx_new], decision).changed:
+            tp += 1
+        else:
+            fn += 1
+        perm = rng.permutation(n_base)
+        if decide(base_values[perm[:vms]], base_values[perm[vms : 2 * vms]], decision).changed:
+            fp += 1
+        else:
+            tn += 1
+    return tp, fp, fn, tn

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import hardware_gated, make_series
+from conftest import hardware_gated
 from perfdelta import injection
 from perfdelta.executor import FakeClock
 from perfdelta.harness import CampaignError
-from perfdelta.injection import (
-    measure_busywait_quantum,
-    predict_detectability,
-    run_injection_study,
-)
+from perfdelta.injection import measure_busywait_quantum, run_injection_study
 from perfdelta.model import (
     DecisionConfig,
     MeasurementConfig,
@@ -98,35 +94,7 @@ def test_busywait_quantum_positive():
     assert measure_busywait_quantum() >= 1
 
 
-# --- predictions -----------------------------------------------------------
-
-
-def _series_with_spread(values_ns):
-    return make_series([[v] for v in values_ns], repetitions=1, size=1000)
-
-
-def test_prediction_zero_delta():
-    series = _series_with_spread([100, 110, 120, 130])
-    config = MeasurementConfig(vms=30, warmup_iterations=1, measurement_iterations=1, repetitions=1)
-    pred = predict_detectability(series, 0, config, alpha=0.01)
-    assert pred.gamma_hat == 0.0
-    assert pred.beta == pytest.approx(1 - 0.01 / 2)
-
-
-def test_prediction_sigma_doubling_halves_gamma_and_raises_beta():
-    config = MeasurementConfig(vms=30, warmup_iterations=1, measurement_iterations=1, repetitions=1)
-    narrow = predict_detectability(_series_with_spread([1000, 2000, 3000]), 2, config)
-    wide = predict_detectability(_series_with_spread([1000, 3000, 5000]), 2, config)
-    assert wide.sigma_per_execution_ns == pytest.approx(2 * narrow.sigma_per_execution_ns)
-    assert wide.gamma_hat == pytest.approx(narrow.gamma_hat / 2)
-    assert wide.beta > narrow.beta
-
-
-def test_prediction_zero_spread_is_certain_detection():
-    config = MeasurementConfig(vms=30, warmup_iterations=1, measurement_iterations=1, repetitions=1)
-    pred = predict_detectability(_series_with_spread([100, 100, 100]), 5, config)
-    assert pred.gamma_hat == float("inf")
-    assert pred.beta == 0.0
+# --- boundary model ----------------------------------------------------------
 
 
 def test_prediction_matches_monte_carlo_detection_rate():

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from perfdelta.stats import (
     StatsError,
     _t_sf,
     decide,
-    effect_size,
     mann_whitney_approx_p,
     mann_whitney_exact_p,
     midranks,
@@ -116,28 +116,28 @@ def test_no_removal_below_13_points_at_default_threshold():
 # --- effect size -----------------------------------------------------------
 
 
-def _summary_from_means(means):
-    reps = 1
-    return summarize(make_series([[int(m)] * 2 for m in means], repetitions=reps))
+def _effect(old, new):
+    """decide's effect size between two summaries' per-VM means."""
+    return decide(old.per_vm_means_ns, new.per_vm_means_ns, WELCH).effect_size
 
 
 def test_effect_size_sign_and_scale():
     old = summarize(make_series([[int(v)] for v in (90, 100, 110)]))
     new = summarize(make_series([[int(v)] for v in (95, 105, 115)]))
     # means 100 vs 105, pooled sd 10
-    assert effect_size(old, new) == pytest.approx(-0.5)
+    assert _effect(old, new) == pytest.approx(-0.5)
 
 
 def test_effect_size_identical_is_zero():
     s = summarize(make_series([[100], [200]]))
-    assert effect_size(s, s) == 0.0
+    assert _effect(s, s) == 0.0
 
 
 def test_effect_size_zero_spread_unequal_means_is_infinite():
     old = summarize(make_series([[100], [100]]))
     new = summarize(make_series([[200], [200]]))
-    assert effect_size(old, new) == -math.inf
-    assert effect_size(new, old) == math.inf
+    assert _effect(old, new) == -math.inf
+    assert _effect(new, old) == math.inf
 
 
 def test_effect_size_matches_highprecision_oracle():
@@ -145,7 +145,7 @@ def test_effect_size_matches_highprecision_oracle():
     for _ in range(20):
         old = rng.normal(100, 7, size=30)
         new = rng.normal(104, 5, size=30)
-        got = effect_size(
+        got = _effect(
             summarize(make_series([[int(v * 1000)] for v in old], repetitions=1000)),
             summarize(make_series([[int(v * 1000)] for v in new], repetitions=1000)),
         )
@@ -315,6 +315,103 @@ def test_midranks_match_counting_oracle(values):
     want_ranks, want_ties = oracles.midranks_by_counting(values)
     assert ranks.tolist() == [float(r) for r in want_ranks]
     assert ties == want_ties
+
+
+# --- decide: batches -------------------------------------------------------
+
+
+def _sample(draw, kind: str, n: int, centre: int) -> list[float]:
+    """One sample of a batch row, of a kind that exercises one kernel branch."""
+    if kind == "spread":
+        values = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    elif kind == "ties":
+        values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    elif kind == "constant":
+        values = [centre] * n
+    else:  # offsets in +/- pairs, so the mean is exactly ``centre``
+        offsets = draw(st.lists(st.integers(1, 500), min_size=n // 2, max_size=n // 2))
+        values = [centre + o for o in offsets] + [centre - o for o in offsets] + [centre] * (n % 2)
+    return [float(v) for v in values]
+
+
+@st.composite
+def decide_batches(draw):
+    """Two (R, n1) and (R, n2) arrays whose rows mix tie-free, tied,
+    zero-variance and equal-mean sample pairs."""
+    n1, n2 = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    old, new = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["spread", "ties", "constant", "equal-mean"]))
+        centre = draw(st.integers(600, 900))
+        old.append(_sample(draw, kind, n1, centre))
+        new.append(_sample(draw, kind, n2, centre + draw(st.sampled_from([0, 0, 7]))))
+    return np.array(old), np.array(new)
+
+
+def _check_row_against_oracles(old, new, outcome, test, alpha):
+    n1, n2 = len(old), len(new)
+    if test is StatTest.WELCH_T:
+        assert outcome.p_value == pytest.approx(oracles.welch_p_highprecision(old, new), abs=1e-9)
+    elif test is StatTest.MANN_WHITNEY:
+        ranks, ties = oracles.midranks_by_counting(old + new)
+        u1 = sum(ranks[:n1]) - Fraction(n1 * (n1 + 1), 2)
+        assert outcome.statistic == min(u1, n1 * n2 - u1)
+        if not ties and n1 + n2 <= 14:
+            assert outcome.p_value == pytest.approx(
+                oracles.mann_whitney_exact_bruteforce(old, new), abs=1e-12)
+    else:
+
+        def interval(sample):
+            n = len(sample)
+            mean = sum(map(Fraction, sample)) / n
+            variance = sum((Fraction(v) - mean) ** 2 for v in sample) / (n - 1)
+            half = oracles.t_quantile_highprecision(1 - alpha / 2, n - 1) * math.sqrt(variance / n)
+            return float(mean) - half, float(mean) + half
+
+        (lo1, hi1), (lo2, hi2) = interval(old), interval(new)
+        # Samples lie in [0, 10,000]: 1e-9 of that scale.
+        assert outcome.statistic == pytest.approx(max(lo1 - hi2, lo2 - hi1), abs=1e-5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    decide_batches(),
+    st.sampled_from(list(StatTest)),
+    st.sampled_from([0.01, 0.05, 0.2]),
+    st.one_of(st.none(), st.floats(1.0, 3.0)),
+)
+def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha, outlier_z):
+    old, new = batch
+    decision = DecisionConfig(test=test, alpha=alpha, outlier_z=outlier_z)
+    singles = []
+    for row_old, row_new in zip(old.tolist(), new.tolist()):
+        try:
+            singles.append(decide(row_old, row_new, decision))
+        except StatsError:
+            singles.append(None)
+    if None in singles:  # outlier removal left a row with one value
+        with pytest.raises(StatsError):
+            decide(old, new, decision)
+        return
+    batched = decide(old, new, decision)
+    assert (batched.p_value is None) == (test is StatTest.CI_OVERLAP)
+    for i, one in enumerate(singles):
+        assert type(one.changed) is bool and type(one.statistic) is float
+        assert batched.changed[i] == one.changed
+        assert batched.statistic[i] == one.statistic
+        assert batched.effect_size[i] == one.effect_size
+        assert (batched.n_old[i], batched.n_new[i]) == (one.n_old, one.n_new)
+        if one.p_value is not None:
+            assert batched.p_value[i] == pytest.approx(one.p_value, rel=1e-12)
+        if outlier_z is None:
+            _check_row_against_oracles(old[i].tolist(), new[i].tolist(), one, test, alpha)
+
+
+def test_decide_rejects_mismatched_or_short_batches():
+    with pytest.raises(StatsError):
+        decide(np.ones((3, 4)), np.ones((2, 4)), WELCH)
+    with pytest.raises(StatsError):
+        decide(np.ones((3, 1)), np.ones((3, 4)), WELCH)
 
 
 @pytest.mark.parametrize("module", ["perfdelta.executor", "perfdelta.cli"])

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+
 from perfdelta import tuner
 from perfdelta.executor import FakeClock
 from perfdelta.model import DecisionConfig, StatTest, WorkloadKind
@@ -124,13 +126,14 @@ def test_degenerate_always_changed_decision(monkeypatch):
         def __init__(self, changed):
             self.changed = changed
 
-    monkeypatch.setattr(tuner, "decide", lambda old, new, decision: Fixed(True))
+    # decide gets the cell's trials as one batch and answers one flag a row.
+    monkeypatch.setattr(tuner, "decide", lambda old, new, decision: Fixed(np.full(len(old), True)))
     pool = make_synthetic_pool(1.0, 12, 6, 100, seed=2)
     c = estimate_f1(pool, 5, 3, MW, resamples=60, seed=0)
     assert (c.tp, c.fp, c.fn, c.tn) == (60, 60, 0, 0)
     assert c.f1 == pytest.approx(2 / 3)
 
-    monkeypatch.setattr(tuner, "decide", lambda old, new, decision: Fixed(False))
+    monkeypatch.setattr(tuner, "decide", lambda old, new, decision: Fixed(np.full(len(old), False)))
     c = estimate_f1(pool, 5, 3, MW, resamples=60, seed=0)
     assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 60, 60)
     assert c.f1 == 0.0
@@ -171,6 +174,19 @@ def test_estimate_f1_deterministic():
     a = estimate_f1(pool, 8, 4, MW, resamples=80, seed=13)
     b = estimate_f1(pool, 8, 4, MW, resamples=80, seed=13)
     assert a == b
+
+
+@pytest.mark.parametrize("outlier_z", [None, 1.5])
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+@pytest.mark.parametrize("test", list(StatTest))
+def test_batched_cell_counts_match_per_round_oracle(test, gamma, outlier_z):
+    pool = make_synthetic_pool(gamma, 24, 10, 100, seed=17)
+    decision = DecisionConfig(test=test, alpha=0.05, outlier_z=outlier_z)
+    # 8 VMs take the exact Mann-Whitney path, 14 its limit, 24 the approximation.
+    for vms, iterations in ((4, 2), (7, 5), (12, 3)):
+        got = estimate_f1(pool, vms, iterations, decision, resamples=60, seed=5)
+        want = oracles.estimate_f1_counts_per_round(pool, vms, iterations, decision, 60, 5)
+        assert (got.tp, got.fp, got.fn, got.tn) == want
 
 
 def test_f1_nondecreasing_in_vms_with_slack():

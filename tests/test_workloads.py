@@ -44,22 +44,22 @@ def test_add_sum_deterministic():
         expected = (expected + probe.next_u64()) & ((1 << 64) - 1)
     for _ in range(2):  # independent instances reproduce the identical sum
         inst = create_instance(spec(WorkloadKind.ADD, 4, seed=99))
-        inst.execute_once()
+        inst.run_repetitions(1)
         assert inst.sink_value == expected
 
 
 def test_add_delay_path_matches_fast_path():
     fast = create_instance(spec(WorkloadKind.ADD, 50, seed=5))
     slow = create_instance(spec(WorkloadKind.ADD, 50, seed=5, injected_delay_ns=1))
-    fast.execute_once()
-    slow.execute_once()
+    fast.run_repetitions(1)
+    slow.run_repetitions(1)
     assert fast.sink_value == slow.sink_value
 
 
 def test_allocate_retains_then_drains():
     inst = create_instance(spec(WorkloadKind.ALLOCATE, 7))
-    inst.execute_once()
-    inst.execute_once()
+    inst.run_repetitions(1)
+    inst.run_repetitions(1)
     assert inst.record_count == 14
     inst.drain()
     assert inst.record_count == 0
@@ -69,7 +69,7 @@ def test_allocate_retains_then_drains():
 
 def test_write_counts_and_drains():
     inst = create_instance(spec(WorkloadKind.WRITE, 5, seed=3))
-    inst.execute_once()
+    inst.run_repetitions(1)
     assert inst.written_count == 5
     inst.drain()
     assert inst.written_count == 0
@@ -86,7 +86,7 @@ def test_run_repetitions_equals_loop():
         b = create_instance(spec(kind, 13, seed=8))
         a.run_repetitions(9)
         for _ in range(9):
-            b.execute_once()
+            b.run_repetitions(1)
         assert read(a) == read(b), kind
 
 
@@ -96,7 +96,7 @@ def test_busy_wait_floor():
     inst = create_instance(spec(WorkloadKind.ADD, size, seed=1, injected_delay_ns=delay))
     for _ in range(50):
         start = time.perf_counter_ns()
-        inst.execute_once()
+        inst.run_repetitions(1)
         elapsed = time.perf_counter_ns() - start
         assert elapsed >= size * delay
     inst.drain()
@@ -148,7 +148,7 @@ def _median_execution_ns(kind, size, samples, **kwargs):
     times = []
     for _ in range(samples):
         start = time.perf_counter_ns()
-        inst.execute_once()
+        inst.run_repetitions(1)
         times.append(time.perf_counter_ns() - start)
         inst.drain()
     return statistics.median(times)
