@@ -187,6 +187,24 @@ def test_tune_synthetic_reruns_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+GOLDEN_TUNE = Path(__file__).parent / "golden_tune"
+
+
+@pytest.mark.parametrize("test", ["t", "mann-whitney", "ci"])
+def test_tune_matches_golden_files(tmp_path, test):
+    """``tune --synthetic gamma=3 --seed 0 --resamples 200`` at the default
+    grids writes the bytes kept under ``golden_tune/<test>/``.  A change that
+    moves a cell on purpose rewrites these files and lists the moved cells."""
+    out = tmp_path / test
+    result = runner.invoke(main, [
+        "tune", "--workload", "add", "--synthetic", "gamma=3", "--seed", "0",
+        "--resamples", "200", "--test", test, "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    for name in ("report.json", "heatmap_add.csv", "heatmap_average.csv"):
+        assert (out / name).read_bytes() == (GOLDEN_TUNE / test / name).read_bytes(), name
+
+
 def test_tune_rejects_malformed_synthetic(tmp_path):
     result = runner.invoke(main, [
         "tune", "--workload", "add", "--synthetic", "3",
