@@ -143,23 +143,25 @@ def test_memory_budget_env_override(monkeypatch):
         check_memory_budget(spec(WorkloadKind.ALLOCATE, 100), iterations=10, repetitions=10)
 
 
-def _median_execution_ns(kind, size, samples, **kwargs):
-    inst = create_instance(spec(kind, size, seed=1, **kwargs))
-    times = []
-    for _ in range(samples):
-        start = time.perf_counter_ns()
-        inst.run_repetitions(1)
-        times.append(time.perf_counter_ns() - start)
-        inst.drain()
-    return statistics.median(times)
+def _median_windows_ns(specs, repetitions, windows):
+    """Median window of each workload in ``specs``, measured in alternation,
+    one window of each per turn, so that host drift moves all of them alike."""
+    instances = [create_instance(s) for s in specs]
+    times = [[] for _ in instances]
+    for _ in range(windows):
+        for inst, bucket in zip(instances, times):
+            start = time.perf_counter_ns()
+            inst.run_repetitions(repetitions)
+            bucket.append(time.perf_counter_ns() - start)
+            inst.drain()
+    return [statistics.median(bucket) for bucket in times]
 
 
 def test_monotone_cost_in_size():
     for kind in (WorkloadKind.ADD, WorkloadKind.ALLOCATE, WorkloadKind.WRITE):
         samples = 1000 if kind is WorkloadKind.ADD else 200
-        medians = [
-            _median_execution_ns(kind, size, samples) for size in (100, 1000, 10_000)
-        ]
+        medians = _median_windows_ns(
+            [spec(kind, size, seed=1) for size in (100, 1000, 10_000)], 1, samples)
         assert medians == sorted(medians), f"{kind}: {medians}"
 
 
@@ -167,24 +169,16 @@ def test_work_scales_with_size_not_elided():
     # Elision would make both sizes cost the same; honest work scales ~10x.
     # Asserted at >5x: cache and fixed-overhead effects put the measured
     # ratio near but not reliably above 10 on this interpreter.
-    m5 = _median_execution_ns(WorkloadKind.ADD, 10**5, 30)
-    m6 = _median_execution_ns(WorkloadKind.ADD, 10**6, 15)
+    [m5] = _median_windows_ns([spec(WorkloadKind.ADD, 10**5, seed=1)], 1, 30)
+    [m6] = _median_windows_ns([spec(WorkloadKind.ADD, 10**6, seed=1)], 1, 15)
     assert m6 > 5 * m5, (m5, m6)
 
 
 def _paired_median_window_ns(size, delta, repetitions, windows):
-    """Median window of an ``add`` base and its injected variant, measured in
-    alternation so that host drift moves both alike."""
-    base = create_instance(spec(WorkloadKind.ADD, size, seed=1))
-    delayed = create_instance(spec(WorkloadKind.ADD, size, seed=1, injected_delay_ns=delta))
-    times = {base: [], delayed: []}
-    for _ in range(windows):
-        for inst, bucket in times.items():
-            start = time.perf_counter_ns()
-            inst.run_repetitions(repetitions)
-            bucket.append(time.perf_counter_ns() - start)
-            inst.drain()
-    return statistics.median(times[base]), statistics.median(times[delayed])
+    """Median window of an ``add`` base and its injected variant."""
+    return _median_windows_ns(
+        [spec(WorkloadKind.ADD, size, seed=1),
+         spec(WorkloadKind.ADD, size, seed=1, injected_delay_ns=delta)], repetitions, windows)
 
 
 def test_injected_delay_raises_median_by_at_least_size_times_delta():
