@@ -1,8 +1,8 @@
 """Shared domain types and the JSON result-file format.
 
 All measured durations are stored as integer nanoseconds per iteration;
-per-repetition values are derived by dividing last, so no precision is lost
-to rounding.  Every type validates its invariants at construction time and
+per-repetition values are derived from them by ``stats.per_vm_means``
+alone.  Every type validates its invariants at construction time and
 instances are immutable afterwards, so they are safe to share between
 concurrent readers.
 
@@ -130,10 +130,6 @@ class VmRun:
                     f"{path}.{name}",
                     "durations must be non-negative integers",
                 )
-
-    def per_repetition_ns(self, repetitions: int) -> list[float]:
-        """Real-valued per-repetition durations of the measurement iterations."""
-        return [d / repetitions for d in self.measurement_ns]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Series summaries and change decisions between two measured versions.
 
 All operations are pure functions over per-VM means: the VM start is the
-sampling unit, since iterations inside one VM are autocorrelated.  Three
+sampling unit, since iterations inside one VM are autocorrelated.  One rule
+makes a VM's value, for ``compare`` and the tuner alike: :func:`per_vm_means`
+over a range of a :func:`window_matrix` row.  Three
 tests are offered: Welch's t-test, Mann-Whitney U (exact by enumeration for
 small tie-free samples, tie-corrected normal approximation with continuity
 correction otherwise) and confidence-interval overlap with Student-t
@@ -146,17 +148,32 @@ def _mean_and_variance(values: list[float]) -> tuple[float, float]:
     return mean, fsum([(v - mean) ** 2 for v in values]) / (len(values) - 1)
 
 
-def summarize(series: MeasurementSeries) -> SeriesSummary:
-    """Per-VM mean per-repetition durations plus their mean and sample stddev.
+def window_matrix(series: MeasurementSeries) -> np.ndarray:
+    """A series' windows in ns, float64 of shape (vms, warmup + measurement), warmup first."""
+    return np.array([run.warmup_ns + run.measurement_ns for run in series.vm_runs], dtype=float)
 
-    Warmup iterations are excluded; the division by ``repetitions`` happens
-    last, on the iteration mean.
-    """
-    if series.config.vms < 2:
+
+def per_vm_means(windows: np.ndarray, start: int, stop: int, repetitions: int) -> np.ndarray:
+    """Each VM's mean per-repetition duration: per row, the exactly rounded sum
+    (fsum) of windows start..stop-1, divided by their count, then by
+    ``repetitions``.  A range that is empty or runs past the matrix raises
+    ValueError, where a slice would silently cut it short."""
+    if not 0 <= start < stop <= windows.shape[1]:
+        raise ValueError(f"window range {start}..{stop - 1} is empty or outside "
+                         f"the {windows.shape[1]} recorded windows")
+    count = stop - start
+    return np.array([fsum(row) / count / repetitions for row in windows[:, start:stop].tolist()])
+
+
+def summarize(series: MeasurementSeries) -> SeriesSummary:
+    """Per-VM means of the measurement windows (:func:`per_vm_means`) plus
+    their mean and sample stddev."""
+    config = series.config
+    if config.vms < 2:
         raise StatsError("summaries need at least 2 VMs for a defined stddev")
-    repetitions = series.config.repetitions
-    per_vm = [fsum(run.measurement_ns) / len(run.measurement_ns) / repetitions
-              for run in series.vm_runs]
+    per_vm = per_vm_means(window_matrix(series), config.warmup_iterations,
+                          config.warmup_iterations + config.measurement_iterations,
+                          config.repetitions).tolist()
     mean, variance = _mean_and_variance(per_vm)
     stddev = math.sqrt(variance)
     relative = stddev / mean if mean != 0 else 0.0

@@ -1,16 +1,18 @@
 """Measurement-configuration tuning by resampled F1-scores.
 
-A recorded pool holds, per repetitions value, per-repetition duration
-streams for a base workload (size s) and a changed workload (size s+d or
-injected delay).  For every (vms, iterations, repetitions) cell the change
-detector's F1-score is estimated by repeated resampling: changed-pair trials
-count true positives and false negatives, same-version trials count false
-positives and true negatives.  The best configuration is then selected by
-threshold, monotonicity and repetition-count rules.
+A recorded pool holds, per repetitions value, the window matrices
+(:func:`stats.window_matrix`) of a base workload (size s) and a changed
+workload (size s+d or injected delay).  For every (vms, iterations,
+repetitions) cell the change detector's F1-score is estimated by repeated
+resampling: changed-pair trials count true positives and false negatives,
+same-version trials count false positives and true negatives.  The best
+configuration is then selected by threshold, monotonicity and
+repetition-count rules.
 
-A configuration with iteration count i consumes recorded iterations 1..2i of
-each drawn VM's stream and discards the first i as warmup, mirroring the
-equal-warmup policy the harness applies when measuring for real.
+A configuration with iteration count i consumes recorded windows 1..2i of
+each drawn VM and discards the first i as warmup, mirroring the equal-warmup
+policy the harness applies when measuring for real: a VM's value is
+:func:`stats.per_vm_means` over windows i+1..2i, as ``compare`` would take it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import (
     WorkloadSpec,
     to_document,
 )
-from .stats import decide
+from .stats import decide, per_vm_means, window_matrix
 
 #: Resampling noise at 10,000 rounds is ~±0.005 F1; the monotonicity rule
 #: tolerates dips up to this much.
@@ -38,7 +40,7 @@ F1_THRESHOLD = 0.99
 
 #: Synthetic pools: per-VM means are Normal(SYNTHETIC_BASE_MEAN,
 #: SYNTHETIC_BETWEEN_VM_SD), iteration values add Normal(0,
-#: SYNTHETIC_WITHIN_VM_SD) noise.
+#: SYNTHETIC_WITHIN_VM_SD) noise, in ns per repetition.
 SYNTHETIC_BASE_MEAN = 100.0
 SYNTHETIC_BETWEEN_VM_SD = 1.0
 SYNTHETIC_WITHIN_VM_SD = 0.1
@@ -112,15 +114,13 @@ class SelectionResult:
 
 @dataclass
 class MeasurementPool:
-    """Per-repetition duration streams, shape (vms, recorded_depth)."""
+    """Window durations in ns of both versions, each laid out as
+    :func:`stats.window_matrix` does, shape (vms, recorded windows), and the
+    repetitions every window ran."""
 
     base: np.ndarray
     changed: np.ndarray
     repetitions: int
-
-    @property
-    def depth(self) -> int:
-        return self.base.shape[1]
 
 
 @dataclass
@@ -138,17 +138,10 @@ def _f1_score(tp: int, fp: int, fn: int) -> float:
 
 
 def pool_from_series(base: MeasurementSeries, changed: MeasurementSeries) -> MeasurementPool:
-    """Build a pool from two recorded series (warmup stream kept in front)."""
+    """Build a pool from two recorded series (warmup windows kept in front)."""
     if base.config.repetitions != changed.config.repetitions:
         raise ValueError("base and changed series must share a repetitions count")
-
-    def matrix(series: MeasurementSeries) -> np.ndarray:
-        rows = [list(run.warmup_ns) + list(run.measurement_ns) for run in series.vm_runs]
-        return np.asarray(rows, dtype=np.float64) / series.config.repetitions
-
-    return MeasurementPool(
-        base=matrix(base), changed=matrix(changed), repetitions=base.config.repetitions
-    )
+    return MeasurementPool(window_matrix(base), window_matrix(changed), base.config.repetitions)
 
 
 def make_synthetic_pool(
@@ -162,13 +155,14 @@ def make_synthetic_pool(
 
     The changed version's per-VM means are slower by ``gamma *
     SYNTHETIC_BETWEEN_VM_SD``.  Iteration values add small within-VM noise
-    so per-VM averaging still does something.
+    so per-VM averaging still does something.  Values are drawn in ns per
+    repetition and stored as windows of ``repetitions``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, vms, depth, repetitions]))
 
     def draw(mean: float) -> np.ndarray:
         vm_means = rng.normal(mean, SYNTHETIC_BETWEEN_VM_SD, size=(vms, 1))
-        return vm_means + rng.normal(0.0, SYNTHETIC_WITHIN_VM_SD, size=(vms, depth))
+        return (vm_means + rng.normal(0.0, SYNTHETIC_WITHIN_VM_SD, size=(vms, depth))) * repetitions
 
     return MeasurementPool(
         base=draw(SYNTHETIC_BASE_MEAN),
@@ -255,8 +249,9 @@ def estimate_f1(
     Per round, a changed-pair trial draws ``vms`` VMs without replacement
     from each version's pool, and a same-version trial splits a permutation
     of the base pool into two disjoint subsets of ``vms`` VMs, so the base
-    pool must hold at least ``2 * vms`` VMs.  All trials of the cell are
-    decided by one batched :func:`decide` call.
+    pool must hold at least ``2 * vms`` VMs, and ``2 * iterations`` windows
+    for :func:`per_vm_means`.  All trials of the cell are decided by one
+    batched :func:`decide` call.
     """
     n_base = pool.base.shape[0]
     n_changed = pool.changed.shape[0]
@@ -265,20 +260,9 @@ def estimate_f1(
             f"cell needs {2 * vms} base and {vms} changed VMs "
             f"but the pool holds {n_base}/{n_changed}"
         )
-    if 2 * iterations > pool.depth:
-        raise ValueError(
-            f"cell needs {2 * iterations} recorded iterations but the pool holds {pool.depth}"
-        )
-
-    # Mean of recorded iterations i..2i-1 per VM, via prefix sums.
-    def per_vm_values(matrix: np.ndarray) -> np.ndarray:
-        prefix = np.cumsum(matrix, axis=1)
-        upper = prefix[:, 2 * iterations - 1]
-        lower = prefix[:, iterations - 1]
-        return (upper - lower) / iterations
-
     # Changed VM j is row n_base + j.
-    values = np.concatenate((per_vm_values(pool.base), per_vm_values(pool.changed)))
+    values = np.concatenate([per_vm_means(m, iterations, 2 * iterations, pool.repetitions)
+                             for m in (pool.base, pool.changed)])
 
     # Each round keeps its own generator and draw order, and only fills index
     # rows: row r holds round r's changed-pair trial and row resamples + r its

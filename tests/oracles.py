@@ -166,13 +166,11 @@ def estimate_f1_counts_per_round(pool, vms, iterations, decision, resamples, see
     batched: the same generator per round and the same draws (``choice``,
     ``choice``, ``permutation``), so a batched cell must count the same.
     """
-    from perfdelta.stats import decide
+    from perfdelta.stats import decide, per_vm_means
 
-    def per_vm_values(matrix):
-        prefix = np.cumsum(matrix, axis=1)
-        return (prefix[:, 2 * iterations - 1] - prefix[:, iterations - 1]) / iterations
-
-    base_values, changed_values = per_vm_values(pool.base), per_vm_values(pool.changed)
+    base_values, changed_values = (
+        per_vm_means(m, iterations, 2 * iterations, pool.repetitions)
+        for m in (pool.base, pool.changed))
     n_base, n_changed = len(base_values), len(changed_values)
     tp = fp = fn = tn = 0
     for round_idx in range(resamples):

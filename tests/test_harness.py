@@ -17,6 +17,7 @@ from perfdelta.model import (
     serialize_series,
     to_document,
 )
+from perfdelta.stats import per_vm_means, window_matrix
 
 FAKE = FakeClock(step_ns=1000)
 
@@ -41,7 +42,7 @@ def test_campaign_structure_and_fake_clock_arithmetic():
         assert len(run.warmup_ns) == 3
         assert len(run.measurement_ns) == 3
         assert all(d == 1000 for d in run.warmup_ns + run.measurement_ns)
-        assert run.per_repetition_ns(100) == [10.0, 10.0, 10.0]
+    assert per_vm_means(window_matrix(series), 3, 6, 100).tolist() == [10.0, 10.0]
 
 
 def test_campaign_records_clock_resolution():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series
+from perfdelta.stats import per_vm_means, window_matrix
 from perfdelta.model import (
     DecisionConfig,
     MeasurementConfig,
@@ -111,8 +112,8 @@ def test_boolean_subset_fraction_rejected():
 
 
 def test_per_repetition_division_is_real_valued():
-    run = VmRun(0, (), (1005,))
-    assert run.per_repetition_ns(10) == [100.5]
+    series = make_series([[1005], [2011]], repetitions=10)
+    assert per_vm_means(window_matrix(series), 0, 1, 10).tolist() == [100.5, 201.1]
 
 
 @st.composite

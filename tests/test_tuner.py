@@ -1,14 +1,21 @@
 import json
+import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
+from conftest import make_series
 from perfdelta import tuner
 from perfdelta.executor import FakeClock
 from perfdelta.model import DecisionConfig, StatTest, WorkloadKind
 from perfdelta.power import type_ii_error
+from perfdelta.stats import per_vm_means, summarize, window_matrix
 from perfdelta.tuner import (
     F1Grid,
     GridCell,
@@ -77,16 +84,15 @@ def test_plan_rejects_bad_grids_up_front(grid, value):
 
 
 def test_pool_from_series_layout():
-    from conftest import make_series
-
     base = make_series([[100, 200], [300, 400]], repetitions=10,
                        warmup_ns_per_vm=[[10, 20], [30, 40]])
     changed = make_series([[500, 600], [700, 800]], repetitions=10,
                           warmup_ns_per_vm=[[50, 60], [70, 80]])
     pool = pool_from_series(base, changed)
-    assert pool.depth == 4
-    assert pool.base[0].tolist() == [1.0, 2.0, 10.0, 20.0]
-    assert pool.changed[1].tolist() == [7.0, 8.0, 70.0, 80.0]
+    assert pool.base.shape == pool.changed.shape == (2, 4)
+    assert pool.base[0].tolist() == [10.0, 20.0, 100.0, 200.0]
+    assert pool.changed[1].tolist() == [70.0, 80.0, 700.0, 800.0]
+    assert pool.repetitions == 10
 
 
 def test_pool_rejects_mismatched_repetitions():
@@ -115,7 +121,8 @@ def test_record_pool_depth_and_persistence(tmp_path):
 def test_synthetic_pool_shape_and_offset():
     pool = make_synthetic_pool(gamma=3.0, vms=40, depth=10, repetitions=100, seed=5)
     assert pool.base.shape == pool.changed.shape == (40, 10)
-    assert pool.changed.mean() - pool.base.mean() == pytest.approx(3.0, abs=0.8)
+    # Windows of 100 repetitions, each drawn in ns per repetition.
+    assert (pool.changed.mean() - pool.base.mean()) / 100 == pytest.approx(3.0, abs=0.8)
 
 
 # --- estimate_f1 -----------------------------------------------------------
@@ -197,6 +204,77 @@ def test_f1_nondecreasing_in_vms_with_slack():
     ]
     for smaller, larger in zip(f1s, f1s[1:]):
         assert larger >= smaller - 0.02, f1s
+
+
+# --- the tuner's per-VM value is compare's ---------------------------------
+
+
+@st.composite
+def series_pairs(draw):
+    """A base series of 2k VMs and a changed one of k VMs, both with the same
+    repetitions and warmup/measurement cut, and an iteration count i with
+    2i <= warmup + measurement."""
+    k = draw(st.integers(2, 4))
+    depth = draw(st.integers(2, 12))
+    warmup = draw(st.integers(0, depth - 1))
+    repetitions = draw(st.integers(1, 10**6))
+    window = st.integers(0, 2**53)
+
+    def series(vms):
+        rows = draw(st.lists(st.lists(window, min_size=depth, max_size=depth),
+                             min_size=vms, max_size=vms))
+        return make_series([r[warmup:] for r in rows], repetitions, [r[:warmup] for r in rows])
+
+    return series(2 * k), series(k), draw(st.integers(1, depth // 2))
+
+
+def _windows(series, start, stop):
+    return [list(run.warmup_ns + run.measurement_ns)[start:stop] for run in series.vm_runs]
+
+
+def _recut(series, i):
+    """The series' first 2i windows of each VM, as warmup i plus measurement i."""
+    return make_series(_windows(series, i, 2 * i), series.config.repetitions,
+                       _windows(series, 0, i))
+
+
+def _decided_values(pool, vms, iterations):
+    """Sorted per-VM values ``estimate_f1`` decides on, base and changed, for a
+    pool of 2 * vms base and vms changed VMs: one round's changed-pair trial
+    draws every changed VM and its same-version trial every base VM."""
+    trials = []
+
+    def record(old, new, decision):
+        trials.append((old, new))
+        return SimpleNamespace(changed=np.zeros(len(old), dtype=bool))
+
+    with mock.patch.object(tuner, "decide", record):
+        estimate_f1(pool, vms, iterations, MW, resamples=1, seed=0)
+    [(old, new)] = trials
+    return sorted(old[1].tolist() + new[1].tolist()), sorted(new[0].tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_tuner_decides_on_the_per_vm_means_compare_decides_on(pair):
+    base, changed, i = pair
+    decided_base, decided_changed = _decided_values(
+        pool_from_series(base, changed), changed.config.vms, i)
+    # Bit for bit: the series measured at the cell's configuration.
+    assert decided_base == sorted(summarize(_recut(base, i)).per_vm_means_ns)
+    assert decided_changed == sorted(summarize(_recut(changed, i)).per_vm_means_ns)
+    exact, *_ = oracles.summary_exact(_windows(base, i, 2 * i), base.config.repetitions)
+    got = per_vm_means(window_matrix(base), i, 2 * i, base.config.repetitions)
+    for value, want in zip(got.tolist(), exact, strict=True):
+        assert abs(value - want) <= 2 * math.ulp(want), (value, want)
+
+
+def test_per_vm_means_rejects_ranges_a_slice_would_cut():
+    windows = np.ones((2, 4))
+    assert per_vm_means(windows, 1, 4, 2).tolist() == [0.5, 0.5]
+    for start, stop in ((2, 2), (3, 2), (-1, 2), (2, 5)):
+        with pytest.raises(ValueError, match="window range"):
+            per_vm_means(windows, start, stop, 2)
 
 
 # --- selection rules -------------------------------------------------------
