@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series
-from perfdelta.stats import per_vm_means, window_matrix
 from perfdelta.model import (
     DecisionConfig,
     MeasurementConfig,
@@ -21,6 +20,7 @@ from perfdelta.model import (
     serialize_series,
     to_document,
 )
+from perfdelta.stats import per_vm_means, window_matrix
 
 
 def test_config_invariants():

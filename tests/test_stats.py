@@ -22,6 +22,7 @@ from perfdelta.stats import (
     midranks,
     normal_cdf,
     normal_quantile,
+    per_vm_means,
     remove_outliers,
     summarize,
     t_quantile,
@@ -57,6 +58,14 @@ def test_summarize_excludes_warmup():
         warmup_ns_per_vm=[[10**9, 10**9], [10**9, 10**9]],
     )
     assert summarize(series).mean_ns == 200.0
+
+
+def test_per_vm_means_rejects_ranges_a_slice_would_cut():
+    windows = np.ones((2, 4))
+    assert per_vm_means(windows, 1, 4, 2).tolist() == [0.5, 0.5]
+    for start, stop in ((2, 2), (3, 2), (-1, 2), (2, 5)):
+        with pytest.raises(ValueError, match="window range"):
+            per_vm_means(windows, start, stop, 2)
 
 
 def test_summarize_single_vm_rejected():

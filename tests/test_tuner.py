@@ -229,7 +229,7 @@ def series_pairs(draw):
 
 
 def _windows(series, start, stop):
-    return [list(run.warmup_ns + run.measurement_ns)[start:stop] for run in series.vm_runs]
+    return [(run.warmup_ns + run.measurement_ns)[start:stop] for run in series.vm_runs]
 
 
 def _recut(series, i):
@@ -267,14 +267,6 @@ def test_tuner_decides_on_the_per_vm_means_compare_decides_on(pair):
     got = per_vm_means(window_matrix(base), i, 2 * i, base.config.repetitions)
     for value, want in zip(got.tolist(), exact, strict=True):
         assert abs(value - want) <= 2 * math.ulp(want), (value, want)
-
-
-def test_per_vm_means_rejects_ranges_a_slice_would_cut():
-    windows = np.ones((2, 4))
-    assert per_vm_means(windows, 1, 4, 2).tolist() == [0.5, 0.5]
-    for start, stop in ((2, 2), (3, 2), (-1, 2), (2, 5)):
-        with pytest.raises(ValueError, match="window range"):
-            per_vm_means(windows, start, stop, 2)
 
 
 # --- selection rules -------------------------------------------------------
