@@ -54,8 +54,8 @@ def _int_list(value: str) -> tuple[int, ...]:
         raise click.UsageError(f"expected a comma-separated integer list, got {value!r}")
 
 
-def _decision(test: str, alpha: float, outlier_z: float | None) -> DecisionConfig:
-    return DecisionConfig(test=_TEST_NAMES[test], alpha=alpha, outlier_z=outlier_z)
+def _decision(test: str, alpha: float) -> DecisionConfig:
+    return DecisionConfig(test=_TEST_NAMES[test], alpha=alpha)
 
 
 def _load_series(path: str):
@@ -131,12 +131,11 @@ def measure(kind, size, vms, warmup, iterations, repetitions, trigger_gc, delta_
 @click.option("--test", type=click.Choice(sorted(_TEST_NAMES)), default="mann-whitney",
               show_default=True)
 @click.option("--alpha", type=float, default=0.01, show_default=True)
-@click.option("--outlier-z", type=float, default=None)
-def compare(old_file, new_file, test, alpha, outlier_z) -> None:
+def compare(old_file, new_file, test, alpha) -> None:
     """Decide whether two series files differ; exit 10 when they do."""
     old = _load_series(old_file)
     new = _load_series(new_file)
-    decision = _decision(test, alpha, outlier_z)
+    decision = _decision(test, alpha)
     outcome = decide(summarize(old).per_vm_means_ns, summarize(new).per_vm_means_ns, decision)
     click.echo(json.dumps({**to_document(outcome), "alpha": alpha}))
     sys.exit(EXIT_CHANGE if outcome.changed else 0)
@@ -160,12 +159,16 @@ def power(ctx, gamma, alpha, vms, beta, seconds_per_vm, budget_seconds, parallel
         raise click.UsageError("--gamma is required")
     if (vms is None) == (beta is None):
         raise click.UsageError("provide exactly one of --vms (forward) or --beta (inversion)")
+    if (seconds_per_vm is None) != (budget_seconds is None):
+        raise click.UsageError("--seconds-per-vm and --budget are given together or not at all")
+    if seconds_per_vm is not None and beta is None:
+        raise click.UsageError("--seconds-per-vm and --budget check the VMs --beta requires")
     if vms is not None:
         value = power_mod.type_ii_error(gamma, vms, alpha)
         click.echo(f"beta={value!r}")
-        return
-    required = power_mod.required_vms(gamma, alpha, beta)
-    if seconds_per_vm is not None and budget_seconds is not None:
+    elif seconds_per_vm is None:
+        click.echo(f"required_vms={power_mod.required_vms(gamma, alpha, beta)}")
+    else:
         report = power_mod.feasibility(
             gamma, alpha, beta, seconds_per_vm, budget_seconds, parallel_pairs=parallel
         )
@@ -173,8 +176,6 @@ def power(ctx, gamma, alpha, vms, beta, seconds_per_vm, budget_seconds, parallel
             f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
             f"feasible={str(report.feasible).lower()}"
         )
-    else:
-        click.echo(f"required_vms={required}")
 
 
 @power.command()
@@ -236,7 +237,7 @@ def tune(kinds, size, delta_ops, delta_ns, vm_grid, iteration_grid, repetitions_
         max_vms=max(vm_grid),
         max_iterations=max(iteration_grid),
         resamples=resamples,
-        decision=_decision(test, alpha, None),
+        decision=_decision(test, alpha),
         seed=seed,
         synthetic_gamma=_parse_synthetic(synthetic),
     )
@@ -333,7 +334,7 @@ def inject(kind, size, delta_ns, trials, subset_fraction, vms, warmup, iteration
         parallel_pairs=parallel,
     )
     workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
-    decision = _decision(test, alpha, None)
+    decision = _decision(test, alpha)
     report = injection_mod.run_injection_study(
         workload, delta_ns, config, decision, trials,
         seed=seed, subset_fraction=subset_fraction,

@@ -167,20 +167,14 @@ class MeasurementSeries:
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    """Statistical test choice, significance level and outlier policy.
-
-    ``outlier_z`` of ``None`` disables outlier removal; a positive value
-    removes points whose Z-score exceeds it in a single pass before testing.
-    """
+    """Statistical test choice and significance level."""
 
     test: StatTest = StatTest.MANN_WHITNEY
     alpha: float = 0.01
-    outlier_z: float | None = None
 
     def __post_init__(self) -> None:
         _require(0.0 < self.alpha < 1.0, "decision.alpha", "must be in (0, 1)")
-        if self.outlier_z is not None:
-            _require(self.outlier_z > 0, "decision.outlier_z", "must be > 0")
+
 
 @dataclass(frozen=True)
 class SeriesSummary:

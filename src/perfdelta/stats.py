@@ -4,11 +4,12 @@ All operations are pure functions over per-VM means: the VM start is the
 sampling unit, since iterations inside one VM are autocorrelated.  One rule
 makes a VM's value, for ``compare`` and the tuner alike: :func:`per_vm_means`
 over a range of a :func:`window_matrix` row.  Three
-tests are offered: Welch's t-test, Mann-Whitney U (exact by enumeration for
-small tie-free samples, tie-corrected normal approximation with continuity
-correction otherwise) and confidence-interval overlap with Student-t
-intervals.  Student-t tails are regularized incomplete beta functions by
-Lentz's continued fraction, and t quantiles are Newton steps on them.
+tests are offered: Welch's t-test, Mann-Whitney U and confidence-interval
+overlap with Student-t intervals.  Mann-Whitney p-values are exact for small
+tie-free samples, from counts of rank sums, and otherwise a tie-corrected
+normal approximation with continuity correction.  Student-t tails are
+regularized incomplete beta functions by Lentz's continued fraction, and t
+quantiles are Newton steps on them.
 
 ``decide`` has one kernel for every shape: samples run along the last axis,
 so a batch of R sample pairs, such as the tuner's resampling rounds of one
@@ -27,8 +28,8 @@ import numpy as np
 
 from .model import DecisionConfig, MeasurementSeries, SeriesSummary, StatTest
 
-#: Exact Mann-Whitney enumeration is used up to this combined sample size
-#: (worst case C(14,7) = 3,432 labelings).
+#: Exact Mann-Whitney p-values, from counts of rank sums, are used up to this
+#: combined sample size; the normal approximation above it.
 EXACT_MANN_WHITNEY_LIMIT = 14
 
 
@@ -185,22 +186,6 @@ def summarize(series: MeasurementSeries) -> SeriesSummary:
     )
 
 
-def remove_outliers(values, threshold: float) -> list[float]:
-    """Drop values whose Z-score against the input's own mean/stddev exceeds
-    ``threshold``.  Single pass: no re-iteration after removal.
-    """
-    values = list(values)
-    if len(values) < 2:
-        raise StatsError("outlier removal needs at least 2 values")
-    if threshold <= 0:
-        raise StatsError("outlier threshold must be > 0")
-    mean, variance = _mean_and_variance(values)
-    stddev = math.sqrt(variance)
-    if stddev == 0:
-        return values
-    return [v for v in values if abs(v - mean) / stddev <= threshold]
-
-
 # --- Mann-Whitney ----------------------------------------------------------
 
 
@@ -324,10 +309,24 @@ def _ci_gap(m1, v1, n1, m2, v2, n2, alpha: float) -> np.ndarray:
 # --- decision kernel --------------------------------------------------------
 
 
-def _kernel(old: np.ndarray, new: np.ndarray, decision: DecisionConfig) -> tuple:
-    """changed, statistic, p-value (None for ci) and effect size, each a
-    length-R array, for every row of two (R, n1) and (R, n2) arrays."""
+def decide(old, new, decision: DecisionConfig) -> TestOutcome:
+    """Decide "performance change / no change" between per-VM mean samples.
+
+    Samples run along the last axis.  Two 1-D samples give one decision in
+    Python scalars; two (R, n) batches give R decisions, one a row, with each
+    per-row field a length-R array.  Every shape runs the same code, so a
+    batched row decides exactly as its own 1-D call would.
+    """
+    old = np.asarray(old, dtype=np.float64)
+    new = np.asarray(new, dtype=np.float64)
+    single = old.ndim == 1 and new.ndim == 1
+    if single:
+        old, new = old[None], new[None]
+    if old.ndim != 2 or new.ndim != 2 or len(old) != len(new):
+        raise StatsError("decide takes two 1-D samples or two batches of R rows")
     n1, n2 = old.shape[1], new.shape[1]
+    if n1 < 2 or n2 < 2:
+        raise StatsError("decide needs at least 2 values per sample")
     # Row by row, so that only one row is held as Python floats at a time.
     (m1, v1), (m2, v2) = (
         np.array([_mean_and_variance(row.tolist()) for row in x]).reshape(len(x), 2).T
@@ -347,45 +346,11 @@ def _kernel(old: np.ndarray, new: np.ndarray, decision: DecisionConfig) -> tuple
         else:
             raise StatsError(f"unknown test: {decision.test}")
     changed = statistic > 0 if p is None else p < decision.alpha
-    return changed, statistic, p, effect
-
-
-def decide(old, new, decision: DecisionConfig) -> TestOutcome:
-    """Decide "performance change / no change" between per-VM mean samples.
-
-    Samples run along the last axis.  Two 1-D samples give one decision in
-    Python scalars; two (R, n) batches give R decisions, one a row, with each
-    per-row field a length-R array.  Every shape runs the same kernel, so a
-    batched row decides exactly as its own 1-D call would.  Outlier removal
-    makes rows ragged, so it runs the kernel one row at a time.
-    """
-    old = np.asarray(old, dtype=np.float64)
-    new = np.asarray(new, dtype=np.float64)
-    single = old.ndim == 1 and new.ndim == 1
-    if single:
-        old, new = old[None], new[None]
-    if old.ndim != 2 or new.ndim != 2 or len(old) != len(new):
-        raise StatsError("decide takes two 1-D samples or two batches of R rows")
-    if old.shape[1] < 2 or new.shape[1] < 2:
-        raise StatsError("decide needs at least 2 values per sample")
-    if decision.outlier_z is None:
-        changed, statistic, p, effect = _kernel(old, new, decision)
-        n_old, n_new = np.full(len(old), old.shape[1]), np.full(len(new), new.shape[1])
-    else:
-        rows = []
-        for row_old, row_new in zip(old.tolist(), new.tolist()):
-            kept_old = remove_outliers(row_old, decision.outlier_z)
-            kept_new = remove_outliers(row_new, decision.outlier_z)
-            if len(kept_old) < 2 or len(kept_new) < 2:
-                raise StatsError("outlier removal left fewer than 2 values in a sample")
-            outcome = _kernel(np.array([kept_old]), np.array([kept_new]), decision)
-            rows.append((*outcome, [len(kept_old)], [len(kept_new)]))
-        changed, statistic, p, effect, n_old, n_new = (
-            None if column[0] is None else np.concatenate(column) for column in zip(*rows))
     if single:
         return TestOutcome(
             changed=bool(changed[0]), test=decision.test, statistic=float(statistic[0]),
             p_value=None if p is None else float(p[0]), effect_size=float(effect[0]),
-            n_old=int(n_old[0]), n_new=int(n_new[0]))
+            n_old=n1, n_new=n2)
     return TestOutcome(changed=changed, test=decision.test, statistic=statistic, p_value=p,
-                       effect_size=effect, n_old=n_old, n_new=n_new)
+                       effect_size=effect, n_old=np.full(len(old), n1),
+                       n_new=np.full(len(new), n2))

@@ -103,6 +103,17 @@ def test_compare_corrupt_file_exit_two(tmp_path):
     assert result.exit_code == 2
 
 
+def test_compare_has_no_outlier_option(tmp_path):
+    write_series(tmp_path / "old.json", [1, 2, 3])
+    write_series(tmp_path / "new.json", [10, 11, 12])
+    result = runner.invoke(main, [
+        "compare", "--outlier-z", "2.5", str(tmp_path / "old.json"), str(tmp_path / "new.json"),
+    ])
+    assert result.exit_code == 2
+    assert "No such option '--outlier-z'" in result.stderr
+    assert result.stdout == ""
+
+
 # --- power -----------------------------------------------------------------
 
 
@@ -127,10 +138,18 @@ def test_power_inversion_anchor():
 
 
 def test_power_requires_exactly_one_direction():
-    result = runner.invoke(main, ["power", "--gamma", "1", "--vms", "30", "--beta", "0.1"])
-    assert result.exit_code == 2
-    result = runner.invoke(main, ["power", "--gamma", "1"])
-    assert result.exit_code == 2
+    for args in (
+        ["--vms", "30", "--beta", "0.1"],
+        [],
+        # A budget check takes both durations, and only for the VMs --beta requires.
+        ["--beta", "0.01", "--seconds-per-vm", "97"],
+        ["--beta", "0.01", "--budget", "5"],
+        ["--vms", "30", "--budget", "5"],
+        ["--vms", "30", "--seconds-per-vm", "97", "--budget", "5"],
+    ):
+        result = runner.invoke(main, ["power", "--gamma", "0.5", *args])
+        assert result.exit_code == 2, args
+        assert result.stdout == "", args
 
 
 def test_power_feasibility_output():

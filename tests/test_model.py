@@ -44,8 +44,6 @@ def test_workload_invariants():
 def test_decision_invariants():
     with pytest.raises(SchemaError, match="alpha"):
         DecisionConfig(alpha=0.0)
-    with pytest.raises(SchemaError, match="outlier_z"):
-        DecisionConfig(outlier_z=-1.0)
 
 
 def test_series_shape_enforced():

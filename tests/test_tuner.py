@@ -183,12 +183,11 @@ def test_estimate_f1_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("outlier_z", [None, 1.5])
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
 @pytest.mark.parametrize("test", list(StatTest))
-def test_batched_cell_counts_match_per_round_oracle(test, gamma, outlier_z):
+def test_batched_cell_counts_match_per_round_oracle(test, gamma):
     pool = make_synthetic_pool(gamma, 24, 10, 100, seed=17)
-    decision = DecisionConfig(test=test, alpha=0.05, outlier_z=outlier_z)
+    decision = DecisionConfig(test=test, alpha=0.05)
     # 8 VMs take the exact Mann-Whitney path, 14 its limit, 24 the approximation.
     for vms, iterations in ((4, 2), (7, 5), (12, 3)):
         got = estimate_f1(pool, vms, iterations, decision, resamples=60, seed=5)
