@@ -163,6 +163,8 @@ def power(ctx, gamma, alpha, vms, beta, seconds_per_vm, budget_seconds, parallel
         raise click.UsageError("--seconds-per-vm and --budget are given together or not at all")
     if seconds_per_vm is not None and beta is None:
         raise click.UsageError("--seconds-per-vm and --budget check the VMs --beta requires")
+    if parallel and seconds_per_vm is None:
+        raise click.UsageError("--parallel halves the wall time --seconds-per-vm and --budget check")
     if vms is not None:
         value = power_mod.type_ii_error(gamma, vms, alpha)
         click.echo(f"beta={value!r}")

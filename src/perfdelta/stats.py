@@ -12,8 +12,10 @@ regularized incomplete beta functions by Lentz's continued fraction, and t
 quantiles are Newton steps on them.
 
 ``decide`` has one kernel for every shape: samples run along the last axis,
-so a batch of R sample pairs, such as the tuner's resampling rounds of one
-grid cell, is decided in one call.
+so a batch of R sample pairs, such as the resampling trials of one tuner grid
+cell, is decided in one call.  Means and variances are two-pass numpy
+reductions along that axis, each row summed on its own, so a batched row
+decides exactly as its own 1-D call would.
 """
 
 from __future__ import annotations
@@ -141,12 +143,14 @@ def t_quantile(p: float, df: float) -> float:
 # --- summaries -------------------------------------------------------------
 
 
-def _mean_and_variance(values: list[float]) -> tuple[float, float]:
-    """Mean and sample variance, each an exactly rounded sum (fsum) over two
-    passes, so a sample's moments do not depend on the order or the batch it
+def _mean_and_variance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample variance along the last axis, in two passes.  Each row
+    is reduced on its own, so a row's moments do not depend on the batch it
     came in."""
-    mean = fsum(values) / len(values)
-    return mean, fsum([(v - mean) ** 2 for v in values]) / (len(values) - 1)
+    n = x.shape[-1]
+    mean = x.sum(axis=-1) / n
+    d = x - mean[..., None]
+    return mean, (d * d).sum(axis=-1) / (n - 1)
 
 
 def window_matrix(series: MeasurementSeries) -> np.ndarray:
@@ -155,15 +159,17 @@ def window_matrix(series: MeasurementSeries) -> np.ndarray:
 
 
 def per_vm_means(windows: np.ndarray, start: int, stop: int, repetitions: int) -> np.ndarray:
-    """Each VM's mean per-repetition duration: per row, the exactly rounded sum
-    (fsum) of windows start..stop-1, divided by their count, then by
-    ``repetitions``.  A range that is empty or runs past the matrix raises
-    ValueError, where a slice would silently cut it short."""
+    """Each VM's mean per-repetition duration: per row, the sum of windows
+    start..stop-1, divided by their count, then by ``repetitions``.  Recorded
+    windows are integer nanoseconds and a row's total stays far below 2**53,
+    so the sum is exact whatever the order.  A range that is empty or runs
+    past the matrix raises ValueError, where a slice would silently cut it
+    short."""
     if not 0 <= start < stop <= windows.shape[1]:
         raise ValueError(f"window range {start}..{stop - 1} is empty or outside "
                          f"the {windows.shape[1]} recorded windows")
     count = stop - start
-    return np.array([fsum(row) / count / repetitions for row in windows[:, start:stop].tolist()])
+    return windows[:, start:stop].sum(axis=1) / count / repetitions
 
 
 def summarize(series: MeasurementSeries) -> SeriesSummary:
@@ -174,12 +180,12 @@ def summarize(series: MeasurementSeries) -> SeriesSummary:
         raise StatsError("summaries need at least 2 VMs for a defined stddev")
     per_vm = per_vm_means(window_matrix(series), config.warmup_iterations,
                           config.warmup_iterations + config.measurement_iterations,
-                          config.repetitions).tolist()
-    mean, variance = _mean_and_variance(per_vm)
+                          config.repetitions)
+    mean, variance = (float(m) for m in _mean_and_variance(per_vm))
     stddev = math.sqrt(variance)
     relative = stddev / mean if mean != 0 else 0.0
     return SeriesSummary(
-        per_vm_means_ns=tuple(per_vm),
+        per_vm_means_ns=tuple(per_vm.tolist()),
         mean_ns=mean,
         stddev_ns=stddev,
         relative_stddev=relative,
@@ -285,13 +291,10 @@ def _welch(diff, v1, n1, v2, n2) -> tuple[np.ndarray, np.ndarray]:
     a, b = v1 / n1, v2 / n2
     se_sq = a + b
     t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
+    df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))
     p = np.where(diff == 0, 1.0, 0.0)
     for i in np.flatnonzero((diff != 0) & (se_sq != 0)):
-        # Python floats, so ** is libm's pow, as in _mean_and_variance; numpy
-        # squares round differently in the last bit.
-        a_i, b_i = float(a[i]), float(b[i])
-        df = (a_i + b_i) ** 2 / (a_i**2 / (n1 - 1) + b_i**2 / (n2 - 1))
-        p[i] = 2.0 * _t_sf(abs(float(t[i])), df)
+        p[i] = 2.0 * _t_sf(abs(float(t[i])), float(df[i]))
     return t, p
 
 
@@ -327,10 +330,7 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
     n1, n2 = old.shape[1], new.shape[1]
     if n1 < 2 or n2 < 2:
         raise StatsError("decide needs at least 2 values per sample")
-    # Row by row, so that only one row is held as Python floats at a time.
-    (m1, v1), (m2, v2) = (
-        np.array([_mean_and_variance(row.tolist()) for row in x]).reshape(len(x), 2).T
-        for x in (old, new))
+    (m1, v1), (m2, v2) = _mean_and_variance(old), _mean_and_variance(new)
     diff = m1 - m2
     with np.errstate(divide="ignore", invalid="ignore"):
         # Standardized mean difference over the pooled sd: ±inf for two

@@ -230,12 +230,6 @@ def record_pool(
     return pools
 
 
-def _round_rng(seed: int, vms: int, iterations: int, repetitions: int, round_idx: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, vms, iterations, repetitions, round_idx])
-    )
-
-
 def estimate_f1(
     pool: MeasurementPool,
     vms: int,
@@ -246,12 +240,14 @@ def estimate_f1(
 ) -> GridCell:
     """Resample the pool and count the detector's confusion matrix.
 
-    Per round, a changed-pair trial draws ``vms`` VMs without replacement
-    from each version's pool, and a same-version trial splits a permutation
-    of the base pool into two disjoint subsets of ``vms`` VMs, so the base
-    pool must hold at least ``2 * vms`` VMs, and ``2 * iterations`` windows
-    for :func:`per_vm_means`.  All trials of the cell are decided by one
-    batched :func:`decide` call.
+    Each of the ``resamples`` rounds makes a changed-pair trial, the first
+    ``vms`` VMs of a random permutation of each version's pool, and a
+    same-version trial, the first ``2 * vms`` VMs of a random permutation of
+    the base pool split in two halves.  The base pool must therefore hold at
+    least ``2 * vms`` VMs, and ``2 * iterations`` windows for
+    :func:`per_vm_means`.  One generator per cell draws every permutation,
+    and all trials are decided by one batched :func:`decide` call: rows
+    0..resamples-1 are the changed-pair trials, the rest the same-version ones.
     """
     n_base = pool.base.shape[0]
     n_changed = pool.changed.shape[0]
@@ -264,23 +260,16 @@ def estimate_f1(
     values = np.concatenate([per_vm_means(m, iterations, 2 * iterations, pool.repetitions)
                              for m in (pool.base, pool.changed)])
 
-    # Each round keeps its own generator and draw order, and only fills index
-    # rows: row r holds round r's changed-pair trial and row resamples + r its
-    # same-version trial.  The whole cell is then decided in one batch.
-    old_rows = np.empty((2 * resamples, vms), dtype=np.intp)
-    new_rows = np.empty((2 * resamples, vms), dtype=np.intp)
-    for round_idx in range(resamples):
-        rng = _round_rng(seed, vms, iterations, pool.repetitions, round_idx)
-        old_rows[round_idx] = rng.choice(n_base, size=vms, replace=False)
-        new_rows[round_idx] = rng.choice(n_changed, size=vms, replace=False)
-        perm = rng.permutation(n_base)
-        old_rows[resamples + round_idx] = perm[:vms]
-        new_rows[resamples + round_idx] = perm[vms : 2 * vms]
-    new_rows[:resamples] += n_base
+    # Row-wise argsorts of uniforms are uniform random permutations.
+    rng = np.random.default_rng(np.random.SeedSequence([seed, vms, iterations, pool.repetitions]))
+    base = rng.random((2 * resamples, n_base)).argsort(axis=1)
+    changed = rng.random((resamples, n_changed)).argsort(axis=1)[:, :vms] + n_base
+    old_rows = base[:, :vms]
+    new_rows = np.concatenate((changed, base[resamples:, vms : 2 * vms]))
 
-    changed = decide(values[old_rows], values[new_rows], decision).changed
-    tp = int(changed[:resamples].sum())
-    fp = int(changed[resamples:].sum())
+    flags = decide(values[old_rows], values[new_rows], decision).changed
+    tp = int(flags[:resamples].sum())
+    fp = int(flags[resamples:].sum())
     fn, tn = resamples - tp, resamples - fp
 
     return GridCell(
@@ -295,36 +284,32 @@ def estimate_f1(
     )
 
 
-def select_configuration(
-    grid: F1Grid,
-    f1_threshold: float = F1_THRESHOLD,
-    monotonicity_tolerance: float = MONOTONICITY_TOLERANCE,
-) -> SelectionResult:
+def select_configuration(grid: F1Grid) -> SelectionResult:
     """Apply the three selection rules to a grid.
 
-    A cell qualifies when (1) its F1 meets the threshold and (2) no cell with
+    A cell qualifies when (1) its F1 meets F1_THRESHOLD and (2) no cell with
     the same VM and repetition counts but more iterations scores lower by
-    more than the tolerance.  Among qualifiers the cell with the fewest VMs
-    wins, then the smallest iterations*repetitions product, then the larger
-    repetition count.
+    more than MONOTONICITY_TOLERANCE.  Among qualifiers the cell with the
+    fewest VMs wins, then the smallest iterations*repetitions product, then
+    the larger repetition count.
     """
     if not grid.cells:
         return SelectionResult(False, "empty grid", None, None)
 
     def monotone_safe(cell: GridCell) -> bool:
         return all(
-            other.f1 >= cell.f1 - monotonicity_tolerance
+            other.f1 >= cell.f1 - MONOTONICITY_TOLERANCE
             for other in grid.cells
             if other.vms == cell.vms
             and other.repetitions == cell.repetitions
             and other.iterations > cell.iterations
         )
 
-    qualifiers = [c for c in grid.cells if c.f1 >= f1_threshold and monotone_safe(c)]
+    qualifiers = [c for c in grid.cells if c.f1 >= F1_THRESHOLD and monotone_safe(c)]
     best_overall = max(grid.cells, key=lambda c: c.f1)
     if not qualifiers:
         return SelectionResult(
-            False, f"no cell reaches F1 >= {f1_threshold}", None, best_overall
+            False, f"no cell reaches F1 >= {F1_THRESHOLD}", None, best_overall
         )
 
     chosen = min(

@@ -2,8 +2,9 @@
 
 Each oracle takes a deliberately different computational route than the
 implementation it checks: brute-force enumeration instead of counting
-recurrences, arbitrary-precision arithmetic instead of floats, and
-incomplete-beta tail probabilities instead of library survival functions.
+recurrences, arbitrary-precision arithmetic instead of floats,
+incomplete-beta tail probabilities instead of library survival functions, and
+one 1-D decision per resampling trial instead of one batch per grid cell.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -158,34 +161,35 @@ def pooled_effect_exact(x, y) -> float:
     return float((m1 - m2) / pooled)
 
 
+def record_trials(pool, vms, iterations, decision, resamples, seed):
+    """The (old, new) sample matrices ``estimate_f1`` hands ``tuner.decide``
+    for one grid cell, recorded in place of deciding them."""
+    from perfdelta import tuner
+
+    batches = []
+
+    def record(old, new, decision):
+        batches.append((old, new))
+        return SimpleNamespace(changed=np.zeros(len(old), dtype=bool))
+
+    with mock.patch.object(tuner, "decide", record):
+        tuner.estimate_f1(pool, vms, iterations, decision, resamples, seed)
+    [(old, new)] = batches
+    return old, new
+
+
 def estimate_f1_counts_per_round(pool, vms, iterations, decision, resamples, seed):
-    """(tp, fp, fn, tn) of a grid cell, deciding each resampling trial by its
-    own 1-D ``decide`` call.
+    """(tp, fp, fn, tn) of a grid cell, deciding each of its own trials by a
+    1-D ``decide`` call.
 
-    This is the tuner's per-round loop as it was before its trials were
-    batched: the same generator per round and the same draws (``choice``,
-    ``choice``, ``permutation``), so a batched cell must count the same.
+    The trials are the ones ``estimate_f1`` draws (:func:`record_trials`):
+    rows 0..resamples-1 are its changed-pair trials and the rest its
+    same-version trials.  Deciding them one row at a time, a batched cell
+    must count the same.
     """
-    from perfdelta.stats import decide, per_vm_means
+    from perfdelta.stats import decide
 
-    base_values, changed_values = (
-        per_vm_means(m, iterations, 2 * iterations, pool.repetitions)
-        for m in (pool.base, pool.changed))
-    n_base, n_changed = len(base_values), len(changed_values)
-    tp = fp = fn = tn = 0
-    for round_idx in range(resamples):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, vms, iterations, pool.repetitions, round_idx])
-        )
-        idx_old = rng.choice(n_base, size=vms, replace=False)
-        idx_new = rng.choice(n_changed, size=vms, replace=False)
-        if decide(base_values[idx_old], changed_values[idx_new], decision).changed:
-            tp += 1
-        else:
-            fn += 1
-        perm = rng.permutation(n_base)
-        if decide(base_values[perm[:vms]], base_values[perm[vms : 2 * vms]], decision).changed:
-            fp += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    old, new = record_trials(pool, vms, iterations, decision, resamples, seed)
+    flags = [decide(o, n, decision).changed for o, n in zip(old, new, strict=True)]
+    tp, fp = sum(flags[:resamples]), sum(flags[resamples:])
+    return tp, fp, resamples - tp, resamples - fp

@@ -146,6 +146,9 @@ def test_power_requires_exactly_one_direction():
         ["--beta", "0.01", "--budget", "5"],
         ["--vms", "30", "--budget", "5"],
         ["--vms", "30", "--seconds-per-vm", "97", "--budget", "5"],
+        # --parallel only halves a budget check's wall time.
+        ["--vms", "30", "--parallel"],
+        ["--beta", "0.01", "--parallel"],
     ):
         result = runner.invoke(main, ["power", "--gamma", "0.5", *args])
         assert result.exit_code == 2, args

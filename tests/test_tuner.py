@@ -1,7 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +193,31 @@ def test_batched_cell_counts_match_per_round_oracle(test, gamma):
         assert (got.tp, got.fp, got.fn, got.tn) == want
 
 
+def test_resampling_trials_are_not_degenerate():
+    """Seeded: each trial row draws distinct VMs, changed-pair trials draw
+    changed VMs, a same-version trial's halves are disjoint, and every base
+    VM leads a row about equally often."""
+    n_base, n_changed, vms, resamples = 12, 9, 4, 10_000
+    # Every window of base VM j reads 10 * j ns and of changed VM j
+    # 10 * (n_base + j) ns, so a decided value is its VM's index.
+    windows = np.arange(n_base + n_changed, dtype=float)[:, None] * np.full(4, 10.0)
+    pool = tuner.MeasurementPool(windows[:n_base], windows[n_base:], repetitions=10)
+    old, new = (x.astype(int) for x in
+                oracles.record_trials(pool, vms, 2, MW, resamples, seed=3))
+    assert old.shape == new.shape == (2 * resamples, vms)
+    for sample in (old, new):
+        assert (np.diff(np.sort(sample, axis=1), axis=1) > 0).all()
+    assert ((old >= 0) & (old < n_base)).all()
+    assert ((new[:resamples] >= n_base) & (new[:resamples] < n_base + n_changed)).all()
+    assert (new[resamples:] < n_base).all()
+    same = np.sort(np.concatenate((old[resamples:], new[resamples:]), axis=1), axis=1)
+    assert (np.diff(same, axis=1) > 0).all()
+    # Column 0 over all 2 * resamples rows: within 4 binomial standard errors.
+    rows, share = len(old), 1 / n_base
+    counts = np.bincount(old[:, 0], minlength=n_base)
+    assert (abs(counts - rows * share) <= 4 * math.sqrt(rows * share * (1 - share))).all(), counts
+
+
 def test_f1_nondecreasing_in_vms_with_slack():
     pool = make_synthetic_pool(1.2, 60, 8, 100, seed=21)
     f1s = [
@@ -212,12 +235,13 @@ def test_f1_nondecreasing_in_vms_with_slack():
 def series_pairs(draw):
     """A base series of 2k VMs and a changed one of k VMs, both with the same
     repetitions and warmup/measurement cut, and an iteration count i with
-    2i <= warmup + measurement."""
+    2i <= warmup + measurement.  A row's windows total at most 2**53 ns, the
+    range in which :func:`per_vm_means` sums exactly."""
     k = draw(st.integers(2, 4))
     depth = draw(st.integers(2, 12))
     warmup = draw(st.integers(0, depth - 1))
     repetitions = draw(st.integers(1, 10**6))
-    window = st.integers(0, 2**53)
+    window = st.integers(0, 2**53 // 12)
 
     def series(vms):
         rows = draw(st.lists(st.lists(window, min_size=depth, max_size=depth),
@@ -241,15 +265,7 @@ def _decided_values(pool, vms, iterations):
     """Sorted per-VM values ``estimate_f1`` decides on, base and changed, for a
     pool of 2 * vms base and vms changed VMs: one round's changed-pair trial
     draws every changed VM and its same-version trial every base VM."""
-    trials = []
-
-    def record(old, new, decision):
-        trials.append((old, new))
-        return SimpleNamespace(changed=np.zeros(len(old), dtype=bool))
-
-    with mock.patch.object(tuner, "decide", record):
-        estimate_f1(pool, vms, iterations, MW, resamples=1, seed=0)
-    [(old, new)] = trials
+    old, new = oracles.record_trials(pool, vms, iterations, MW, resamples=1, seed=0)
     return sorted(old[1].tolist() + new[1].tolist()), sorted(new[0].tolist())
 
 
