@@ -161,15 +161,20 @@ def window_matrix(series: MeasurementSeries) -> np.ndarray:
 def per_vm_means(windows: np.ndarray, start: int, stop: int, repetitions: int) -> np.ndarray:
     """Each VM's mean per-repetition duration: per row, the sum of windows
     start..stop-1, divided by their count, then by ``repetitions``.  Recorded
-    windows are integer nanoseconds and a row's total stays far below 2**53,
-    so the sum is exact whatever the order.  A range that is empty or runs
-    past the matrix raises ValueError, where a slice would silently cut it
+    windows are non-negative integer nanoseconds, so a row summing below
+    2**53 is summed exactly whatever the order; a row summing to 2**53 or
+    more, where float64 would round, raises ValueError, as does a range that
+    is empty or runs past the matrix, where a slice would silently cut it
     short."""
     if not 0 <= start < stop <= windows.shape[1]:
         raise ValueError(f"window range {start}..{stop - 1} is empty or outside "
                          f"the {windows.shape[1]} recorded windows")
-    count = stop - start
-    return windows[:, start:stop].sum(axis=1) / count / repetitions
+    # For non-negative integers a float sum reaches 2**53 only if the exact one does.
+    totals = windows[:, start:stop].sum(axis=1)
+    if (totals >= 2.0**53).any():
+        raise ValueError(f"windows {start}..{stop - 1} of a VM total 2**53 ns or more, "
+                         "past what a float64 sum keeps exact")
+    return totals / (stop - start) / repetitions
 
 
 def summarize(series: MeasurementSeries) -> SeriesSummary:
@@ -320,8 +325,9 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
     per-row field a length-R array.  Every shape runs the same code, so a
     batched row decides exactly as its own 1-D call would.
     """
-    old = np.asarray(old, dtype=np.float64)
-    new = np.asarray(new, dtype=np.float64)
+    # C order: numpy sums a contiguous row pairwise, as it does a 1-D sample.
+    old = np.ascontiguousarray(old, dtype=np.float64)
+    new = np.ascontiguousarray(new, dtype=np.float64)
     single = old.ndim == 1 and new.ndim == 1
     if single:
         old, new = old[None], new[None]

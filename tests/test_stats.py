@@ -67,6 +67,16 @@ def test_per_vm_means_rejects_ranges_a_slice_would_cut():
             per_vm_means(windows, start, stop, 2)
 
 
+def test_per_vm_means_refuses_totals_a_float64_sum_would_round():
+    ok = np.array([[2.0**52, 2.0**52 - 1.0, 0.0]])
+    assert per_vm_means(ok, 0, 3, 1).tolist() == [(2**53 - 1) / 3]
+    for row in ([2.0**52, 2.0**52, 0.0], [2.0**53 + 2.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            per_vm_means(np.array([row, [1.0, 1.0, 1.0]]), 0, 3, 1)
+    # Only the summed range counts.
+    assert per_vm_means(np.array([[2.0**53, 1.0, 2.0]]), 1, 3, 1).tolist() == [1.5]
+
+
 def test_summarize_single_vm_rejected():
     with pytest.raises(StatsError):
         summarize(make_series([[1, 2, 3]]))
@@ -362,6 +372,16 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
         if one.p_value is not None:
             assert batched.p_value[i] == pytest.approx(one.p_value, rel=1e-12)
         _check_row_against_oracles(row_old, row_new, one, test, alpha)
+
+
+def test_a_column_major_batch_decides_as_its_rows():
+    """A transposed batch's rows are summed as 1-D samples are, pairwise,
+    where numpy would otherwise add up each strided row in sequence."""
+    old, new = (x.T for x in np.random.default_rng(5).normal(100.0, 1.0, size=(2, 16, 200)))
+    batched = decide(old, new, WELCH)
+    for i in range(len(old)):
+        one = decide(old[i], new[i], WELCH)
+        assert (batched.statistic[i], batched.effect_size[i]) == (one.statistic, one.effect_size)
 
 
 @pytest.mark.parametrize("n", [10, 30])
