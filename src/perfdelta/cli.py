@@ -9,17 +9,13 @@ measurement iterations, 100,000 repetitions.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-import click
-
-from . import injection as injection_mod
-from . import power as power_mod
-from . import tuner as tuner_mod
-from .harness import CampaignError, run_campaign
 from .model import (
+    CampaignError,
     DecisionConfig,
     MeasurementConfig,
     SchemaError,
@@ -36,26 +32,64 @@ EXIT_VALIDATION = 2
 EXIT_EXECUTOR = 3
 EXIT_CHANGE = 10
 
-DEFAULT_VMS = 30
-DEFAULT_ITERATIONS = 49
-DEFAULT_REPETITIONS = 100_000
-
-_TEST_NAMES = {
-    "t": StatTest.WELCH_T,
-    "mann-whitney": StatTest.MANN_WHITNEY,
-    "ci": StatTest.CI_OVERLAP,
-}
+_KINDS = [kind.value for kind in WorkloadKind]
+_TESTS = [test.value for test in StatTest]
 
 
-def _int_list(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise click.UsageError(f"expected a comma-separated integer list, got {value!r}")
+class _Parser(argparse.ArgumentParser):
+    """Takes ``--help`` (no ``-h``) and no abbreviated option, shows each
+    default in ``--help`` and reports a usage error as one ``error: …`` line
+    with exit code 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def add_argument(self, *flags, **kwargs):
+        default = kwargs.get("default")
+        if default is not None and default is not False and default is not argparse.SUPPRESS:
+            kwargs["help"] = f"{kwargs.get('help', '')} [default: %(default)s]".lstrip()
+        return super().add_argument(*flags, **kwargs)
+
+    def error(self, message: str):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
 
 
-def _decision(test: str, alpha: float) -> DecisionConfig:
-    return DecisionConfig(test=_TEST_NAMES[test], alpha=alpha)
+def _list(kind: type):
+    """An argument type for a non-empty comma-separated list of ``kind``."""
+
+    def parse(value: str) -> tuple:
+        items = tuple(kind(part) for part in value.split(",") if part.strip())
+        if not items:
+            raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
+        return items
+
+    parse.__name__ = f"comma-separated {kind.__name__} list"
+    return parse
+
+
+def _out(value: str, directory: bool = False) -> str:
+    """An output path that is not an existing file of the other kind, so no
+    campaign runs only to fail on writing its result."""
+    if Path(value).exists() and Path(value).is_dir() != directory:
+        raise argparse.ArgumentTypeError(f"{value!r} is {'not ' if directory else ''}a directory")
+    return value
+
+
+def _synthetic(value: str) -> float:
+    if not value.startswith("gamma="):
+        raise argparse.ArgumentTypeError(f"expected gamma=<value>, got {value!r}")
+    return float(value[len("gamma="):])
+
+
+def _config(args, **extra) -> MeasurementConfig:
+    return MeasurementConfig(vms=args.vms, warmup_iterations=args.warmup,
+                             measurement_iterations=args.iterations,
+                             repetitions=args.repetitions, **extra)
+
+
+def _decision(args) -> DecisionConfig:
+    return DecisionConfig(test=StatTest(args.test), alpha=args.alpha)
 
 
 def _load_series(path: str):
@@ -67,285 +101,245 @@ def _load_series(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-class _Main(click.Group):
-    """Maps every error a command raises to its exit code, in one place.
-
-    ``ValueError`` (bad values, and its subclasses ``SchemaError``,
-    ``StatsError`` and ``MemoryBudgetError``) exits 2, ``CampaignError``
-    exits 3; anything else propagates unchanged.
-    """
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (CampaignError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(EXIT_EXECUTOR if isinstance(exc, CampaignError) else EXIT_VALIDATION)
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Statistically grounded detection of performance changes."""
-
-
-@main.command()
-@click.option("--workload", "kind", type=click.Choice([k.value for k in WorkloadKind]),
-              required=True)
-@click.option("--size", type=int, required=True)
-@click.option("--vms", type=int, default=DEFAULT_VMS, show_default=True)
-@click.option("--warmup", type=int, default=DEFAULT_ITERATIONS, show_default=True)
-@click.option("--iterations", type=int, default=DEFAULT_ITERATIONS, show_default=True)
-@click.option("--repetitions", type=int, default=DEFAULT_REPETITIONS, show_default=True)
-@click.option("--gc", "trigger_gc", is_flag=True, help="Collect the heap between iterations.")
-@click.option("--delta-ns", type=int, default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def measure(kind, size, vms, warmup, iterations, repetitions, trigger_gc, delta_ns, seed,
-            out_path) -> None:
+def _measure(args) -> None:
     """Run one measurement campaign and write the series file."""
-    config = MeasurementConfig(
-        vms=vms,
-        warmup_iterations=warmup,
-        measurement_iterations=iterations,
-        repetitions=repetitions,
-        trigger_gc_between_iterations=trigger_gc,
-    )
-    workload = WorkloadSpec(
-        kind=WorkloadKind(kind), size=size, injected_delay_ns=delta_ns, seed=seed
-    )
+    from .harness import run_campaign
+
+    config = _config(args, trigger_gc_between_iterations=args.trigger_gc)
+    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size,
+                            injected_delay_ns=args.delta_ns, seed=args.seed)
     series = run_campaign(config, workload)
-    Path(out_path).write_bytes(serialize_series(series))
-    summary = summarize(series) if vms >= 2 else None
-    if summary is not None:
-        click.echo(
-            f"mean_ns={summary.mean_ns:.3f} stddev_ns={summary.stddev_ns:.3f} "
-            f"relative_stddev={summary.relative_stddev:.6f}"
-        )
+    Path(args.out_path).write_bytes(serialize_series(series))
+    if args.vms >= 2:
+        summary = summarize(series)
+        print(f"mean_ns={summary.mean_ns:.3f} stddev_ns={summary.stddev_ns:.3f} "
+              f"relative_stddev={summary.relative_stddev:.6f}")
     else:
-        click.echo("single VM measured; no spread summary")
+        print("single VM measured; no spread summary")
 
 
-@main.command()
-@click.argument("old_file", type=click.Path(exists=False))
-@click.argument("new_file", type=click.Path(exists=False))
-@click.option("--test", type=click.Choice(sorted(_TEST_NAMES)), default="mann-whitney",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.01, show_default=True)
-def compare(old_file, new_file, test, alpha) -> None:
+def _compare(args) -> int:
     """Decide whether two series files differ; exit 10 when they do."""
-    old = _load_series(old_file)
-    new = _load_series(new_file)
-    decision = _decision(test, alpha)
-    outcome = decide(summarize(old).per_vm_means_ns, summarize(new).per_vm_means_ns, decision)
-    click.echo(json.dumps({**to_document(outcome), "alpha": alpha}))
-    sys.exit(EXIT_CHANGE if outcome.changed else 0)
+    old = summarize(_load_series(args.old_file))
+    new = summarize(_load_series(args.new_file))
+    outcome = decide(old.per_vm_means_ns, new.per_vm_means_ns, _decision(args))
+    print(json.dumps({**to_document(outcome), "alpha": args.alpha}))
+    return EXIT_CHANGE if outcome.changed else 0
 
 
-@main.group(invoke_without_command=True)
-@click.option("--gamma", type=float, default=None)
-@click.option("--alpha", type=float, default=0.01, show_default=True)
-@click.option("--vms", type=int, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--seconds-per-vm", type=float, default=None)
-@click.option("--budget", "budget_seconds", type=float, default=None)
-@click.option("--parallel/--no-parallel", default=False,
-              help="Halve the projected wall time for paired parallel runs.")
-@click.pass_context
-def power(ctx, gamma, alpha, vms, beta, seconds_per_vm, budget_seconds, parallel) -> None:
+def _power(args) -> None:
     """Evaluate the detectability boundary model."""
-    if ctx.invoked_subcommand is not None:
-        return
-    if gamma is None:
-        raise click.UsageError("--gamma is required")
-    if (vms is None) == (beta is None):
-        raise click.UsageError("provide exactly one of --vms (forward) or --beta (inversion)")
-    if (seconds_per_vm is None) != (budget_seconds is None):
-        raise click.UsageError("--seconds-per-vm and --budget are given together or not at all")
-    if seconds_per_vm is not None and beta is None:
-        raise click.UsageError("--seconds-per-vm and --budget check the VMs --beta requires")
-    if parallel and seconds_per_vm is None:
-        raise click.UsageError("--parallel halves the wall time --seconds-per-vm and --budget check")
-    if vms is not None:
-        value = power_mod.type_ii_error(gamma, vms, alpha)
-        click.echo(f"beta={value!r}")
-    elif seconds_per_vm is None:
-        click.echo(f"required_vms={power_mod.required_vms(gamma, alpha, beta)}")
+    from . import power
+
+    if args.gamma is None:
+        raise ValueError("--gamma is required")
+    if (args.vms is None) == (args.beta is None):
+        raise ValueError("provide exactly one of --vms (forward) or --beta (inversion)")
+    if (args.seconds_per_vm is None) != (args.budget_seconds is None):
+        raise ValueError("--seconds-per-vm and --budget are given together or not at all")
+    if args.seconds_per_vm is not None and args.beta is None:
+        raise ValueError("--seconds-per-vm and --budget check the VMs --beta requires")
+    if args.parallel and args.seconds_per_vm is None:
+        raise ValueError("--parallel halves the wall time --seconds-per-vm and --budget check")
+    if args.vms is not None:
+        print(f"beta={power.type_ii_error(args.gamma, args.vms, args.alpha)!r}")
+    elif args.seconds_per_vm is None:
+        print(f"required_vms={power.required_vms(args.gamma, args.alpha, args.beta)}")
     else:
-        report = power_mod.feasibility(
-            gamma, alpha, beta, seconds_per_vm, budget_seconds, parallel_pairs=parallel
-        )
-        click.echo(
-            f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
-            f"feasible={str(report.feasible).lower()}"
-        )
+        report = power.feasibility(args.gamma, args.alpha, args.beta, args.seconds_per_vm,
+                                   args.budget_seconds, parallel_pairs=args.parallel)
+        print(f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
+              f"feasible={str(report.feasible).lower()}")
 
 
-@power.command()
-@click.option("--gammas", required=True, help="Comma-separated effect sizes.")
-@click.option("--vms-max", type=int, required=True)
-@click.option("--vms-min", type=int, default=2, show_default=True)
-@click.option("--alpha", type=float, default=0.01, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def curve(gammas, vms_max, vms_min, alpha, out_path) -> None:
+def _curve(args) -> None:
     """Emit the Type II error over a (gamma, vms) grid as CSV."""
-    gamma_list = [float(part) for part in gammas.split(",") if part.strip()]
-    rows = power_mod.power_curve(gamma_list, range(vms_min, vms_max + 1), alpha)
-    text = power_mod.power_curve_csv(rows)
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    from . import power
+
+    if args.vms_min > args.vms_max:
+        raise ValueError(f"--vms-min {args.vms_min} exceeds --vms-max {args.vms_max}")
+    rows = power.power_curve(args.gammas, range(args.vms_min, args.vms_max + 1), args.alpha)
+    _emit(power.power_curve_csv(rows), args.out_path)
 
 
-def _parse_synthetic(value: str | None) -> float | None:
-    if value is None:
-        return None
-    if not value.startswith("gamma="):
-        raise click.UsageError("--synthetic expects gamma=<value>")
-    return float(value.split("=", 1)[1])
-
-
-@main.command()
-@click.option("--workload", "kinds", type=click.Choice([k.value for k in WorkloadKind]),
-              multiple=True, default=("add",), show_default=True)
-@click.option("--size", type=int, default=300, show_default=True)
-@click.option("--delta", "delta_ops", type=int, default=1, show_default=True,
-              help="Operations added to the changed variant.")
-@click.option("--delta-ns", type=int, default=0, show_default=True)
-@click.option("--vm-grid", default="10,20,30", show_default=True)
-@click.option("--iteration-grid", default="10,20,30", show_default=True)
-@click.option("--repetitions-grid", default="1000", show_default=True)
-@click.option("--test", type=click.Choice(sorted(_TEST_NAMES)), default="mann-whitney",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.01, show_default=True)
-@click.option("--resamples", type=int, default=10_000, show_default=True)
-@click.option("--synthetic", default=None, help="gamma=<G>: replace recording with Gaussian pools.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def tune(kinds, size, delta_ops, delta_ns, vm_grid, iteration_grid, repetitions_grid, test,
-         alpha, resamples, synthetic, seed, out_dir) -> None:
+def _tune(args) -> None:
     """Estimate F1-scores per configuration and select the best one."""
-    vm_grid = _int_list(vm_grid)
-    iteration_grid = _int_list(iteration_grid)
-    repetitions_grid = _int_list(repetitions_grid)
-    plan = tuner_mod.TunerPlan(
-        workload_kinds=tuple(WorkloadKind(k) for k in kinds),
-        size_s=size,
-        delta_ops=delta_ops,
-        delta_ns=delta_ns,
-        repetitions_grid=repetitions_grid,
-        vm_grid=vm_grid,
-        iteration_grid=iteration_grid,
-        max_vms=max(vm_grid),
-        max_iterations=max(iteration_grid),
-        resamples=resamples,
-        decision=_decision(test, alpha),
-        seed=seed,
-        synthetic_gamma=_parse_synthetic(synthetic),
+    from . import tuner
+
+    plan = tuner.TunerPlan(
+        workload_kinds=tuple(WorkloadKind(k) for k in args.kinds or ("add",)),
+        size_s=args.size,
+        delta_ops=args.delta_ops,
+        delta_ns=args.delta_ns,
+        repetitions_grid=args.repetitions_grid,
+        vm_grid=args.vm_grid,
+        iteration_grid=args.iteration_grid,
+        max_vms=max(args.vm_grid),
+        max_iterations=max(args.iteration_grid),
+        resamples=args.resamples,
+        decision=_decision(args),
+        seed=args.seed,
+        synthetic_gamma=args.synthetic,
     )
-    out = Path(out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = tuner_mod.tune(plan, out_dir=out)
+    report = tuner.tune(plan, out_dir=out)
     for kind, grid in report.per_workload_grids.items():
-        (out / f"heatmap_{kind}.csv").write_text(tuner_mod.grid_to_csv(grid))
-    (out / "heatmap_average.csv").write_text(tuner_mod.grid_to_csv(report.average_grid))
-    (out / "report.json").write_text(
-        json.dumps(tuner_mod.report_to_document(report), indent=2) + "\n"
-    )
-    click.echo(f"wall_time_seconds={report.wall_time_seconds:.3f}", err=True)
+        (out / f"heatmap_{kind}.csv").write_text(tuner.grid_to_csv(grid))
+    (out / "heatmap_average.csv").write_text(tuner.grid_to_csv(report.average_grid))
+    (out / "report.json").write_text(json.dumps(tuner.report_to_document(report), indent=2) + "\n")
+    print(f"wall_time_seconds={report.wall_time_seconds:.3f}", file=sys.stderr)
     if report.selection.feasible:
         cfg = report.selection.config
-        click.echo(
-            f"selected vms={cfg.vms} iterations={cfg.measurement_iterations} "
-            f"repetitions={cfg.repetitions} f1={report.selection.cell.f1!r}"
-        )
+        print(f"selected vms={cfg.vms} iterations={cfg.measurement_iterations} "
+              f"repetitions={cfg.repetitions} f1={report.selection.cell.f1!r}")
     else:
-        click.echo(f"no feasible configuration: {report.selection.reason}")
+        print(f"no feasible configuration: {report.selection.reason}")
 
 
-@main.command("stddev-sweep")
-@click.option("--workload", "kind", type=click.Choice([k.value for k in WorkloadKind]),
-              required=True)
-@click.option("--sizes", required=True, help="Comma-separated workload sizes.")
-@click.option("--vms", type=int, default=3, show_default=True)
-@click.option("--warmup", type=int, default=3, show_default=True)
-@click.option("--iterations", type=int, default=5, show_default=True)
-@click.option("--repetitions", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="CSV output file (default: stdout).")
-@click.option("--series-dir", type=click.Path(file_okay=False), default=None,
-              help="Directory for the per-size series files.")
-def stddev_sweep(kind, sizes, vms, warmup, iterations, repetitions, seed, out_path,
-                 series_dir) -> None:
+def _stddev_sweep(args) -> None:
     """Measure each size and emit kind,size,mean,stddev,relative-stddev CSV."""
-    if vms < 2:
+    from .harness import run_campaign
+
+    if args.vms < 2:
         raise ValueError("summaries need at least 2 VMs for a defined stddev")
-    size_list = _int_list(sizes)
     lines = ["kind,size,mean_ns,stddev_ns,relative_stddev"]
-    config = MeasurementConfig(
-        vms=vms,
-        warmup_iterations=warmup,
-        measurement_iterations=iterations,
-        repetitions=repetitions,
-    )
-    for size in size_list:
-        workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
+    config = _config(args)
+    for size in args.sizes:
+        workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=size, seed=args.seed)
         series = run_campaign(config, workload)
-        if series_dir is not None:
-            directory = Path(series_dir)
+        if args.series_dir is not None:
+            directory = Path(args.series_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"sweep_{kind}_{size}.json").write_bytes(serialize_series(series))
+            (directory / f"sweep_{args.kind}_{size}.json").write_bytes(serialize_series(series))
         summary = summarize(series)
-        lines.append(
-            f"{kind},{size},{summary.mean_ns!r},{summary.stddev_ns!r},"
-            f"{summary.relative_stddev!r}"
-        )
-    text = "\n".join(lines) + "\n"
+        lines.append(f"{args.kind},{size},{summary.mean_ns!r},{summary.stddev_ns!r},"
+                     f"{summary.relative_stddev!r}")
+    _emit("\n".join(lines) + "\n", args.out_path)
+
+
+def _inject(args) -> None:
+    """Inject a busy-wait regression repeatedly and report the detection rate."""
+    from .injection import run_injection_study
+
+    config = _config(args, parallel_pairs=args.parallel)
+    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size, seed=args.seed)
+    report = run_injection_study(workload, args.delta_ns, config, _decision(args), args.trials,
+                                 seed=args.seed, subset_fraction=args.subset_fraction)
+    Path(args.out_path).write_text(json.dumps(to_document(report), indent=2) + "\n")
+    print(f"detection_rate={report.detection_rate!r} detections={report.detections} "
+          f"trials={report.trials} erroneous={report.erroneous}")
+
+
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command()
-@click.option("--workload", "kind", type=click.Choice([k.value for k in WorkloadKind]),
-              required=True)
-@click.option("--size", type=int, default=300, show_default=True)
-@click.option("--delta-ns", type=int, default=5, show_default=True)
-@click.option("--trials", type=int, default=10, show_default=True)
-@click.option("--subset-fraction", type=float, default=1.0, show_default=True)
-@click.option("--vms", type=int, default=DEFAULT_VMS, show_default=True)
-@click.option("--warmup", type=int, default=DEFAULT_ITERATIONS, show_default=True)
-@click.option("--iterations", type=int, default=DEFAULT_ITERATIONS, show_default=True)
-@click.option("--repetitions", type=int, default=DEFAULT_REPETITIONS, show_default=True)
-@click.option("--parallel/--no-parallel", default=True, show_default=True)
-@click.option("--test", type=click.Choice(sorted(_TEST_NAMES)), default="mann-whitney",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.01, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def inject(kind, size, delta_ns, trials, subset_fraction, vms, warmup, iterations, repetitions,
-           parallel, test, alpha, seed, out_path) -> None:
-    """Inject a busy-wait regression repeatedly and report the detection rate."""
-    config = MeasurementConfig(
-        vms=vms,
-        warmup_iterations=warmup,
-        measurement_iterations=iterations,
-        repetitions=repetitions,
-        parallel_pairs=parallel,
-    )
-    workload = WorkloadSpec(kind=WorkloadKind(kind), size=size, seed=seed)
-    decision = _decision(test, alpha)
-    report = injection_mod.run_injection_study(
-        workload, delta_ns, config, decision, trials,
-        seed=seed, subset_fraction=subset_fraction,
-    )
-    Path(out_path).write_text(json.dumps(to_document(report), indent=2) + "\n")
-    click.echo(
-        f"detection_rate={report.detection_rate!r} detections={report.detections} "
-        f"trials={report.trials} erroneous={report.erroneous}"
-    )
+def _campaign_options(parser, vms=30, warmup=49, iterations=49, repetitions=100_000) -> None:
+    parser.add_argument("--workload", dest="kind", choices=_KINDS, required=True)
+    parser.add_argument("--vms", type=int, default=vms)
+    parser.add_argument("--warmup", type=int, default=warmup)
+    parser.add_argument("--iterations", type=int, default=iterations)
+    parser.add_argument("--repetitions", type=int, default=repetitions)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _decision_options(parser) -> None:
+    parser.add_argument("--test", choices=_TESTS, default=StatTest.MANN_WHITNEY.value)
+    parser.add_argument("--alpha", type=float, default=0.01)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="perfdelta",
+                     description="Statistically grounded detection of performance changes.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(subparsers, name: str, run) -> _Parser:
+        sub = subparsers.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    p = command(commands, "measure", _measure)
+    _campaign_options(p)
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--gc", dest="trigger_gc", action="store_true",
+                   help="Collect the heap between iterations.")
+    p.add_argument("--delta-ns", type=int, default=0)
+    p.add_argument("--out", dest="out_path", type=_out, required=True)
+
+    p = command(commands, "compare", _compare)
+    p.add_argument("old_file")
+    p.add_argument("new_file")
+    _decision_options(p)
+
+    p = command(commands, "power", _power)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--vms", type=int)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--seconds-per-vm", type=float)
+    p.add_argument("--budget", dest="budget_seconds", type=float)
+    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=False,
+                   help="Halve the projected wall time for paired parallel runs.")
+    p = command(p.add_subparsers(metavar="COMMAND"), "curve", _curve)
+    p.add_argument("--gammas", type=_list(float), required=True,
+                   help="Comma-separated effect sizes.")
+    p.add_argument("--vms-max", type=int, required=True)
+    p.add_argument("--vms-min", type=int, default=2)
+    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--out", dest="out_path", type=_out)
+
+    p = command(commands, "tune", _tune)
+    p.add_argument("--workload", dest="kinds", choices=_KINDS, action="append",
+                   help="Repeat for several workloads. [default: add]")
+    p.add_argument("--size", type=int, default=300)
+    p.add_argument("--delta", dest="delta_ops", type=int, default=1,
+                   help="Operations added to the changed variant.")
+    p.add_argument("--delta-ns", type=int, default=0)
+    p.add_argument("--vm-grid", type=_list(int), default="10,20,30")
+    p.add_argument("--iteration-grid", type=_list(int), default="10,20,30")
+    p.add_argument("--repetitions-grid", type=_list(int), default="1000")
+    _decision_options(p)
+    p.add_argument("--resamples", type=int, default=10_000)
+    p.add_argument("--synthetic", type=_synthetic,
+                   help="gamma=<G>: replace recording with Gaussian pools.")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", dest="out_dir", type=lambda v: _out(v, directory=True), required=True)
+
+    p = command(commands, "stddev-sweep", _stddev_sweep)
+    _campaign_options(p, vms=3, warmup=3, iterations=5, repetitions=100)
+    p.add_argument("--sizes", type=_list(int), required=True,
+                   help="Comma-separated workload sizes.")
+    p.add_argument("--out", dest="out_path", type=_out,
+                   help="CSV output file (default: stdout).")
+    p.add_argument("--series-dir", type=lambda v: _out(v, directory=True),
+                   help="Directory for the per-size series files.")
+
+    p = command(commands, "inject", _inject)
+    _campaign_options(p)
+    p.add_argument("--size", type=int, default=300)
+    p.add_argument("--delta-ns", type=int, default=5)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--subset-fraction", type=float, default=1.0)
+    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True)
+    _decision_options(p)
+    p.add_argument("--out", dest="out_path", type=_out, required=True)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command and exit with its code; a ``ValueError`` exits 2, a
+    ``CampaignError`` 3, and anything else propagates unchanged."""
+    args = _parser().parse_args(argv)
+    try:
+        code = args.run(args)
+    except (CampaignError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_EXECUTOR if isinstance(exc, CampaignError) else EXIT_VALIDATION
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,21 +18,10 @@ import sys
 
 from . import workloads
 from .executor import FakeClock
-from .model import MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
+from .model import CampaignError, MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
 from .model import from_document, to_document, utc_now
 
 log = logging.getLogger(__name__)
-
-
-class CampaignError(RuntimeError):
-    """An executor failed; carries which VM (and version) and its diagnostics."""
-
-    def __init__(self, vm_index: int, diagnostics: str, version: str | None = None):
-        where = f"vm {vm_index}" if version is None else f"{version} vm {vm_index}"
-        super().__init__(f"executor failed for {where}: {diagnostics}")
-        self.vm_index = vm_index
-        self.version = version
-        self.diagnostics = diagnostics
 
 
 def _clock_job_entry(clock) -> dict | None:

@@ -36,6 +36,17 @@ class SchemaError(ValueError):
         self.message = message
 
 
+class CampaignError(RuntimeError):
+    """An executor failed; carries which VM (and version) and its diagnostics."""
+
+    def __init__(self, vm_index: int, diagnostics: str, version: str | None = None):
+        where = f"vm {vm_index}" if version is None else f"{version} vm {vm_index}"
+        super().__init__(f"executor failed for {where}: {diagnostics}")
+        self.vm_index = vm_index
+        self.version = version
+        self.diagnostics = diagnostics
+
+
 class WorkloadKind(str, Enum):
     ADD = "add"
     ALLOCATE = "allocate"

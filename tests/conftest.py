@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import io
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 
@@ -96,3 +100,30 @@ def reply_with(monkeypatch, line: str) -> None:
     from perfdelta import harness
 
     monkeypatch.setattr(harness, "_spawn", lambda job: _ScriptedChild(line))
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """What one ``invoke`` printed and its exit code; ``output`` is both streams."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args, env=None) -> CliResult:
+    """Run ``perfdelta.cli.main(args)`` in this process, with stdout, stderr
+    and, for the call, the environment variables in ``env`` swapped in."""
+    from perfdelta.cli import main
+
+    out, err, code = io.StringIO(), io.StringIO(), 0
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, env or {}):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue())

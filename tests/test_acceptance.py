@@ -9,11 +9,9 @@ import random
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import oracles
-from conftest import RUN_HARDWARE, make_series, record_launches
-from perfdelta.cli import main as cli_main
+from conftest import RUN_HARDWARE, invoke, make_series, record_launches
 from perfdelta.model import (
     DecisionConfig,
     MeasurementConfig,
@@ -218,10 +216,9 @@ def test_criterion_7_harness_structural_correctness(verdict, monkeypatch):
 def test_criterion_8_desk_scale_substitution(verdict, tmp_path, capsys):
     # Part (b), CI-safe: sweep output arithmetic matches a recomputation of
     # the emitted series files.
-    runner = CliRunner()
     out = tmp_path / "sweep.csv"
     series_dir = tmp_path / "series"
-    result = runner.invoke(cli_main, [
+    result = invoke([
         "stddev-sweep", "--workload", "add", "--sizes", "100,300",
         "--vms", "2", "--warmup", "1", "--iterations", "3", "--repetitions", "100",
         "--out", str(out), "--series-dir", str(series_dir),
@@ -276,15 +273,14 @@ def test_criterion_8_desk_scale_substitution(verdict, tmp_path, capsys):
 
 
 def test_criterion_9_determinism(verdict, tmp_path):
-    runner = CliRunner()
     args = [
         "tune", "--workload", "add", "--size", "300", "--delta", "1",
         "--vm-grid", "5,10", "--iteration-grid", "3,5", "--repetitions-grid", "1000",
         "--synthetic", "gamma=3", "--resamples", "500", "--seed", "11",
     ]
     first, second = tmp_path / "a", tmp_path / "b"
-    ok = runner.invoke(cli_main, args + ["--out", str(first)]).exit_code == 0
-    ok = ok and runner.invoke(cli_main, args + ["--out", str(second)]).exit_code == 0
+    ok = invoke(args + ["--out", str(first)]).exit_code == 0
+    ok = ok and invoke(args + ["--out", str(second)]).exit_code == 0
     for name in ("heatmap_add.csv", "heatmap_average.csv", "report.json"):
         ok = ok and (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -292,13 +288,11 @@ def test_criterion_9_determinism(verdict, tmp_path):
     path = tmp_path / "s.json"
     path.write_bytes(serialize_series(series))
     compare_runs = [
-        runner.invoke(cli_main, ["compare", str(path), str(path)]).stdout
+        invoke(["compare", str(path), str(path)]).stdout
         for _ in range(2)
     ]
     curve_runs = [
-        runner.invoke(
-            cli_main, ["power", "curve", "--gammas", "1,0.5", "--vms-max", "40"]
-        ).stdout
+        invoke(["power", "curve", "--gammas", "1,0.5", "--vms-max", "40"]).stdout
         for _ in range(2)
     ]
     ok = ok and compare_runs[0] == compare_runs[1] and curve_runs[0] == curve_runs[1]

@@ -1,14 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import make_series, record_launches, reply_with
-from perfdelta.cli import main
+from conftest import invoke, make_series, record_launches, reply_with
 from perfdelta.model import deserialize_series, serialize_series
-
-runner = CliRunner()
 
 
 def write_series(path: Path, per_vm_means):
@@ -21,7 +18,7 @@ def write_series(path: Path, per_vm_means):
 
 def test_measure_writes_valid_series(tmp_path):
     out = tmp_path / "f.json"
-    result = runner.invoke(main, [
+    result = invoke([
         "measure", "--workload", "add", "--size", "300", "--vms", "2",
         "--warmup", "2", "--iterations", "2", "--repetitions", "10",
         "--out", str(out),
@@ -34,19 +31,19 @@ def test_measure_writes_valid_series(tmp_path):
 
 
 def test_measure_requires_out():
-    result = runner.invoke(main, ["measure", "--workload", "add", "--size", "300"])
+    result = invoke(["measure", "--workload", "add", "--size", "300"])
     assert result.exit_code == 2
 
 
 def test_measure_validation_exit_code(tmp_path):
-    result = runner.invoke(main, [
+    result = invoke([
         "measure", "--workload", "add", "--size", "0", "--out", str(tmp_path / "f.json"),
     ])
     assert result.exit_code == 2
 
 
 def test_measure_allocate_budget_refusal(tmp_path):
-    result = runner.invoke(main, [
+    result = invoke([
         "measure", "--workload", "allocate", "--size", "10000000",
         "--vms", "2", "--warmup", "1", "--iterations", "1",
         "--repetitions", "1000", "--out", str(tmp_path / "f.json"),
@@ -62,7 +59,7 @@ def test_measure_allocate_budget_refusal(tmp_path):
 def test_compare_identical_series_exit_zero(tmp_path):
     write_series(tmp_path / "a.json", [1, 2, 3])
     write_series(tmp_path / "b.json", [1, 2, 3])
-    result = runner.invoke(main, [
+    result = invoke([
         "compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
     ])
     assert result.exit_code == 0
@@ -77,18 +74,18 @@ def test_compare_enumeration_example_alpha_boundary(tmp_path):
     args = ["compare", str(tmp_path / "old.json"), str(tmp_path / "new.json"),
             "--test", "mann-whitney"]
 
-    result = runner.invoke(main, args + ["--alpha", "0.01"])
+    result = invoke(args + ["--alpha", "0.01"])
     assert result.exit_code == 0
     assert json.loads(result.output)["p_value"] == pytest.approx(0.1)
 
-    result = runner.invoke(main, args + ["--alpha", "0.2"])
+    result = invoke(args + ["--alpha", "0.2"])
     assert result.exit_code == 10
     assert json.loads(result.output)["changed"] is True
 
 
 def test_compare_missing_file_exit_two(tmp_path):
     write_series(tmp_path / "a.json", [1, 2, 3])
-    result = runner.invoke(main, [
+    result = invoke([
         "compare", str(tmp_path / "a.json"), str(tmp_path / "missing.json"),
     ])
     assert result.exit_code == 2
@@ -97,7 +94,7 @@ def test_compare_missing_file_exit_two(tmp_path):
 def test_compare_corrupt_file_exit_two(tmp_path):
     write_series(tmp_path / "a.json", [1, 2, 3])
     (tmp_path / "bad.json").write_text("{broken")
-    result = runner.invoke(main, [
+    result = invoke([
         "compare", str(tmp_path / "a.json"), str(tmp_path / "bad.json"),
     ])
     assert result.exit_code == 2
@@ -106,11 +103,11 @@ def test_compare_corrupt_file_exit_two(tmp_path):
 def test_compare_has_no_outlier_option(tmp_path):
     write_series(tmp_path / "old.json", [1, 2, 3])
     write_series(tmp_path / "new.json", [10, 11, 12])
-    result = runner.invoke(main, [
+    result = invoke([
         "compare", "--outlier-z", "2.5", str(tmp_path / "old.json"), str(tmp_path / "new.json"),
     ])
     assert result.exit_code == 2
-    assert "No such option '--outlier-z'" in result.stderr
+    assert "unrecognized arguments: --outlier-z" in result.stderr
     assert result.stdout == ""
 
 
@@ -118,20 +115,20 @@ def test_compare_has_no_outlier_option(tmp_path):
 
 
 def test_power_forward_anchor():
-    result = runner.invoke(main, ["power", "--gamma", "1", "--alpha", "0.01", "--vms", "30"])
+    result = invoke(["power", "--gamma", "1", "--alpha", "0.01", "--vms", "30"])
     assert result.exit_code == 0
     beta = float(result.output.strip().split("=")[1])
     assert beta == pytest.approx(0.0973, abs=0.0005)
 
 
 def test_power_zero_gamma():
-    result = runner.invoke(main, ["power", "--gamma", "0", "--alpha", "0.01", "--vms", "30"])
+    result = invoke(["power", "--gamma", "0", "--alpha", "0.01", "--vms", "30"])
     assert result.exit_code == 0
     assert float(result.output.strip().split("=")[1]) == pytest.approx(0.995)
 
 
 def test_power_inversion_anchor():
-    result = runner.invoke(main, ["power", "--gamma", "0.1", "--alpha", "0.01", "--beta", "0.01"])
+    result = invoke(["power", "--gamma", "0.1", "--alpha", "0.01", "--beta", "0.01"])
     assert result.exit_code == 0
     required = int(result.output.strip().split("=")[1])
     assert 4806 <= required <= 4808
@@ -150,13 +147,13 @@ def test_power_requires_exactly_one_direction():
         ["--vms", "30", "--parallel"],
         ["--beta", "0.01", "--parallel"],
     ):
-        result = runner.invoke(main, ["power", "--gamma", "0.5", *args])
+        result = invoke(["power", "--gamma", "0.5", *args])
         assert result.exit_code == 2, args
         assert result.stdout == "", args
 
 
 def test_power_feasibility_output():
-    result = runner.invoke(main, [
+    result = invoke([
         "power", "--gamma", "0.5", "--alpha", "0.01", "--beta", "0.01",
         "--seconds-per-vm", "97", "--budget", "43200",
     ])
@@ -167,7 +164,7 @@ def test_power_feasibility_output():
 
 def test_power_curve_csv(tmp_path):
     out = tmp_path / "curve.csv"
-    result = runner.invoke(main, [
+    result = invoke([
         "power", "curve", "--gammas", "1,0.5", "--vms-min", "2", "--vms-max", "10",
         "--out", str(out),
     ])
@@ -188,7 +185,7 @@ TUNE_ARGS = [
 
 def test_tune_synthetic_outputs(tmp_path):
     out = tmp_path / "tuneout"
-    result = runner.invoke(main, TUNE_ARGS + ["--out", str(out)])
+    result = invoke(TUNE_ARGS + ["--out", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "heatmap_add.csv").exists()
     assert (out / "heatmap_average.csv").exists()
@@ -203,8 +200,8 @@ def test_tune_synthetic_outputs(tmp_path):
 
 def test_tune_synthetic_reruns_byte_identical(tmp_path):
     first, second = tmp_path / "one", tmp_path / "two"
-    assert runner.invoke(main, TUNE_ARGS + ["--out", str(first)]).exit_code == 0
-    assert runner.invoke(main, TUNE_ARGS + ["--out", str(second)]).exit_code == 0
+    assert invoke(TUNE_ARGS + ["--out", str(first)]).exit_code == 0
+    assert invoke(TUNE_ARGS + ["--out", str(second)]).exit_code == 0
     for name in ("heatmap_add.csv", "heatmap_average.csv", "report.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
@@ -218,7 +215,7 @@ def test_tune_matches_golden_files(tmp_path, test):
     grids writes the bytes kept under ``golden_tune/<test>/``.  A change that
     moves a cell on purpose rewrites these files and lists the moved cells."""
     out = tmp_path / test
-    result = runner.invoke(main, [
+    result = invoke([
         "tune", "--workload", "add", "--synthetic", "gamma=3", "--seed", "0",
         "--resamples", "200", "--test", test, "--out", str(out),
     ])
@@ -228,7 +225,7 @@ def test_tune_matches_golden_files(tmp_path, test):
 
 
 def test_tune_rejects_malformed_synthetic(tmp_path):
-    result = runner.invoke(main, [
+    result = invoke([
         "tune", "--workload", "add", "--synthetic", "3",
         "--out", str(tmp_path / "x"),
     ])
@@ -241,7 +238,7 @@ def test_tune_rejects_malformed_synthetic(tmp_path):
 def test_stddev_sweep_rows_and_recomputation(tmp_path):
     out = tmp_path / "sweep.csv"
     series_dir = tmp_path / "series"
-    result = runner.invoke(main, [
+    result = invoke([
         "stddev-sweep", "--workload", "add", "--sizes", "50,100,200",
         "--vms", "2", "--warmup", "1", "--iterations", "3", "--repetitions", "10",
         "--out", str(out), "--series-dir", str(series_dir),
@@ -263,7 +260,7 @@ def test_stddev_sweep_rows_and_recomputation(tmp_path):
 
 def test_stddev_sweep_rejects_one_vm_before_any_campaign(tmp_path):
     series_dir = tmp_path / "series"
-    result = runner.invoke(main, [
+    result = invoke([
         "stddev-sweep", "--workload", "add", "--sizes", "10,20", *ONE_VM,
         "--series-dir", str(series_dir),
     ])
@@ -272,7 +269,7 @@ def test_stddev_sweep_rejects_one_vm_before_any_campaign(tmp_path):
 
 
 def test_stddev_sweep_allocate_budget(tmp_path):
-    result = runner.invoke(main, [
+    result = invoke([
         "stddev-sweep", "--workload", "allocate", "--sizes", "10000000",
         "--vms", "2", "--warmup", "1", "--iterations", "1", "--repetitions", "1000",
     ], env={"PERFDELTA_MEM_BUDGET_BYTES": "1000000"})
@@ -284,7 +281,7 @@ def test_stddev_sweep_allocate_budget(tmp_path):
 
 def test_inject_writes_study_report(tmp_path):
     out = tmp_path / "study.json"
-    result = runner.invoke(main, [
+    result = invoke([
         "inject", "--workload", "add", "--size", "50", "--delta-ns", "5",
         "--trials", "2", "--vms", "2", "--warmup", "1", "--iterations", "2",
         "--repetitions", "5", "--no-parallel", "--out", str(out),
@@ -312,21 +309,51 @@ INJECT = ["inject", "--workload", "add", "--size", "10", "--no-parallel", *ONE_V
     ["stddev-sweep", "--workload", "add", "--sizes", "10", *ONE_VM],
     ["tune", "--workload", "add", "--synthetic", "gamma=3", "--vm-grid", "1",
      "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1"],
+    ["tune", "--synthetic", "gamma=1", "--vm-grid", ""],
+    ["stddev-sweep", "--workload", "add", "--sizes", ""],
+    ["power", "curve", "--gammas", "", "--vms-max", "3"],
+    ["power", "curve", "--gammas", "1", "--vms-min", "5", "--vms-max", "3"],
+    ["power", "--vms", "30"],
+    ["power", "curve", "--vms-max", "3"],
+    ["power", "--gamma", "1", "--vms", "30", "--outlier-z", "2"],
+    ["power", "--gamma", "1", "--vm", "30"],
+    ["power", "--gamma", "x", "--vms", "30"],
+    ["stddev-sweep", "--workload", "mul", "--sizes", "10"],
 ], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
-        "inject-subset-fraction", "sweep-vms", "tune-vm-grid"])
+        "inject-subset-fraction", "sweep-vms", "tune-vm-grid", "tune-empty-vm-grid",
+        "sweep-empty-sizes", "curve-empty-gammas", "curve-empty-vms-range", "power-no-gamma",
+        "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
+        "bad-choice"])
 def test_invalid_values_exit_with_validation_code(tmp_path, args):
     if args[0] in ("inject", "tune"):
         args = [*args, "--out", str(tmp_path / "out")]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command, defaults", [
+    (["measure"], {"seed": "0"}),
+    (["compare"], {"alpha": "0.01"}),
+    (["power"], {"alpha": "0.01"}),
+    (["power", "curve"], {"alpha": "0.01"}),
+    (["tune"], {"alpha": "0.01", "seed": "0"}),
+    (["stddev-sweep"], {"seed": "0"}),
+    (["inject"], {"alpha": "0.01", "seed": "0"}),
+], ids=["measure", "compare", "power", "power-curve", "tune", "stddev-sweep", "inject"])
+def test_help_exits_zero_and_shows_defaults(command, defaults):
+    result = invoke([*command, "--help"], env={"COLUMNS": "100"})
+    assert result.exit_code == 0, result.output
+    for name, value in defaults.items():
+        shown = rf"--{name} {name.upper()}\s+\[default: {re.escape(value)}\]"
+        assert re.search(shown, result.stdout), (name, result.stdout)
+
+
 def test_inject_rejects_one_vm_before_any_executor_start(tmp_path, monkeypatch):
     launches = record_launches(monkeypatch)
     out = tmp_path / "study.json"
-    result = runner.invoke(main, [*INJECT, "--trials", "1", "--out", str(out)])
+    result = invoke([*INJECT, "--trials", "1", "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: vms must be >= 2")
     assert launches == []
@@ -344,7 +371,7 @@ def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
         return job
 
     monkeypatch.setattr(harness, "_build_job", broken_job)
-    result = runner.invoke(main, [
+    result = invoke([
         "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(tmp_path / "f"),
     ])
     assert result.exit_code == 3, result.output
@@ -354,7 +381,7 @@ def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
 
 def test_malformed_result_line_exits_with_executor_code(tmp_path, monkeypatch):
     reply_with(monkeypatch, '{"executions_at_start": 0}')
-    result = runner.invoke(main, [
+    result = invoke([
         "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(tmp_path / "f"),
     ])
     assert result.exit_code == 3, result.output
@@ -370,13 +397,13 @@ def documents(tmp_path_factory):
     d = tmp_path_factory.mktemp("documents")
     write_series(d / "old.json", [100, 101, 102])
     write_series(d / "new.json", [200, 201, 202])
-    verdict = runner.invoke(main, ["compare", str(d / "old.json"), str(d / "new.json")])
-    runner.invoke(main, [
+    verdict = invoke(["compare", str(d / "old.json"), str(d / "new.json")])
+    invoke([
         "tune", "--workload", "add", "--synthetic", "gamma=3", "--vm-grid", "2",
         "--iteration-grid", "1", "--repetitions-grid", "10", "--resamples", "5",
         "--out", str(d / "tune"),
     ])
-    runner.invoke(main, [
+    invoke([
         "inject", "--workload", "add", "--size", "10", "--trials", "1", "--vms", "2",
         "--warmup", "0", "--iterations", "1", "--repetitions", "1", "--no-parallel",
         "--out", str(d / "study.json"),

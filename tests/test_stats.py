@@ -417,6 +417,12 @@ def test_import_does_not_load_scipy(module):
     if module == "perfdelta.executor":
         # The VM child needs none of the analysis code.
         assert "perfdelta.stats" not in loaded
+    else:
+        # A ``compare`` process loads only what it runs: model and stats.
+        assert [m for m in loaded if m.split(".")[0] == "click"] == []
+        assert {m for m in loaded if m.startswith("perfdelta")} == {
+            "perfdelta", "perfdelta.cli", "perfdelta.model", "perfdelta.stats"
+        }
 
 
 @pytest.mark.parametrize("test", ["t", "ci", "mann-whitney"])
@@ -426,7 +432,10 @@ def test_compare_runs_where_scipy_cannot_be_imported(tmp_path, test):
         path = tmp_path / f"{name}.json"
         path.write_bytes(serialize_series(make_series([[base + d] for d in (0, 7, -5, 3, -2)])))
         paths.append(str(path))
-    code = 'import sys; sys.modules["scipy"] = None; from perfdelta.cli import main; main()'
+    code = (
+        'import sys; sys.modules["scipy"] = sys.modules["click"] = None; '
+        "from perfdelta.cli import main; main()"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code, "compare", *paths, "--test", test],
         capture_output=True, text=True,
