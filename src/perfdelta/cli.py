@@ -64,6 +64,7 @@ def _list(kind: type):
             raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
         return items
 
+    # argparse names the type in its "invalid ... value" message.
     parse.__name__ = f"comma-separated {kind.__name__} list"
     return parse
 
