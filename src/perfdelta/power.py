@@ -29,8 +29,8 @@ class FeasibilityReport:
 
 def type_ii_error(gamma: float, vms: int, alpha: float) -> float:
     """Probability of missing a true change of effect size ``gamma``."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if vms < 2:
         raise ValueError(f"vms must be >= 2, got {vms}")
     if not 0.0 < alpha < 1.0:
@@ -45,7 +45,9 @@ def required_vms(gamma: float, alpha: float, beta: float) -> int:
     Closed-form inversion, then adjusted by direct evaluation so the result
     is the exact argmin.
     """
-    if gamma <= 0:
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if gamma == 0:
         raise ValueError("a zero effect size is unreachable with any finite VM count")
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise ValueError("alpha and beta must be in (0, 1)")

@@ -5,17 +5,19 @@ sampling unit, since iterations inside one VM are autocorrelated.  One rule
 makes a VM's value, for ``compare`` and the tuner alike: :func:`per_vm_means`
 over a range of a :func:`window_matrix` row.  Three
 tests are offered: Welch's t-test, Mann-Whitney U and confidence-interval
-overlap with Student-t intervals.  Mann-Whitney p-values are exact for small
-tie-free samples, from counts of rank sums, and otherwise a tie-corrected
-normal approximation with continuity correction.  Student-t tails are
-regularized incomplete beta functions by Lentz's continued fraction, and t
-quantiles are Newton steps on them.
+overlap with Student-t intervals.  Mann-Whitney counts a tie as half a pair;
+its p-values are exact for small tie-free samples, from counts of rank sums,
+and otherwise a tie-corrected normal approximation with continuity
+correction.  Student-t tails are regularized incomplete beta functions by
+Lentz's continued fraction, and t quantiles are Newton steps on them.
 
 ``decide`` has one kernel for every shape: samples run along the last axis,
 so a batch of R sample pairs, such as the resampling trials of one tuner grid
-cell, is decided in one call.  Means and variances are two-pass numpy
-reductions along that axis, each row summed on its own, so a batched row
-decides exactly as its own 1-D call would.
+cell, is decided in one call.  Each test is one array expression over the
+rows: means and variances are two-pass numpy reductions, each row summed on
+its own, and the continued fraction runs elementwise, each element stopping
+at its own convergence, so a batched row decides exactly as its own 1-D call
+would.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum, lgamma
+from math import comb
 from statistics import NormalDist
 
 import numpy as np
@@ -70,47 +72,60 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b), by Stirling's series once an argument reaches 100, where
-    lgamma(large + small) - lgamma(large) starts to lose digits."""
-    small, large = min(a, b), max(a, b)
-    if large < 100.0:
-        return lgamma(a) + lgamma(b) - lgamma(a + b)
+def _mapped(function):
+    """A float function of one argument, over arrays: numpy has no lgamma or
+    erfc, and frompyfunc calls the math one from a C loop."""
+    ufunc = np.frompyfunc(function, 1, 1)
+    return lambda z: np.asarray(ufunc(z), dtype=np.float64)
+
+
+_lgamma, _erfc = _mapped(math.lgamma), _mapped(math.erfc)
+
+
+def _log_beta(a, b) -> np.ndarray:
+    """log B(a, b) elementwise, by Stirling's series once an argument reaches
+    100, where lgamma(large + small) - lgamma(large) starts to lose digits."""
+    small, large = np.minimum(a, b), np.maximum(a, b)
     tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (large, a + b)]
-    return (lgamma(small) + small - (large - 0.5) * math.log1p(small / large)
-            - small * math.log(large + small) + tails[0] - tails[1])
+    stirling = (_lgamma(small) + small - (large - 0.5) * np.log1p(small / large)
+                - small * np.log(large + small) + tails[0] - tails[1])
+    return np.where(large < 100.0, _lgamma(a) + _lgamma(b) - _lgamma(a + b), stirling)
 
 
-def _betainc(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b), with ``y`` = 1 - x passed apart:
-    Lentz's continued fraction below x = (a+1)/(a+b+2), where it converges
-    fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it."""
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _betainc(b, a, y, x)
-    if x == 0.0:
-        return 0.0
-    front = math.exp(a * math.log(x) + b * math.log(y) - _log_beta(a, b)) / a
-    # d and c are the ratios of successive convergents; 1e-300 stands in for 0.
-    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
-    fraction, a2m = d, a
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    return np.where(v == 0.0, 1e-300, v)  # 1e-300 stands in for 0 in Lentz's method
+
+
+@np.errstate(divide="ignore")  # a zero x or y takes log(0) = -inf
+def _betainc(a, b, x, y) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) elementwise, with ``y`` = 1 - x
+    passed apart: Lentz's continued fraction below x = (a+1)/(a+b+2), where it
+    converges fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it.  An
+    element stops when its own fraction converges, whatever the others do."""
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    a, b, x, y = (np.where(swap, u, v) for u, v in ((b, a), (a, b), (y, x), (x, y)))
+    front = np.exp(a * np.log(x) + b * np.log(y) - _log_beta(a, b)) / a
+    # d and c are the ratios of successive convergents.
+    c, d = np.ones_like(x), 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction, a2m, active = d, a, np.ones_like(x, dtype=bool)
     for m in range(1, 100_000):  # about sqrt(a) steps are needed
-        a2m += 2.0
-        coefficient = m * (b - m) * x / ((a2m - 1.0) * a2m)
-        d = 1.0 / ((1.0 + coefficient * d) or 1e-300)
-        c = (1.0 + coefficient / c) or 1e-300
-        fraction *= d * c
-        coefficient = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
-        d = 1.0 / ((1.0 + coefficient * d) or 1e-300)
-        c = (1.0 + coefficient / c) or 1e-300
-        delta = d * c
-        fraction *= delta
-        if -1e-15 < delta - 1.0 < 1e-15:
+        a2m, grown = a2m + 2.0, fraction
+        for coefficient in (m * (b - m) * x / ((a2m - 1.0) * a2m),
+                            -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
+            d = 1.0 / _nonzero(1.0 + coefficient * d)
+            c = _nonzero(1.0 + coefficient / c)
+            delta = d * c
+            grown = grown * delta
+        fraction = np.where(active, grown, fraction)
+        active = active & (np.abs(delta - 1.0) >= 1e-15)  # a NaN element stops too
+        if not active.any():
             break
-    return front * fraction
+    value = np.where(x == 0.0, 0.0, front * fraction)
+    return np.where(swap, 1.0 - value, value)
 
 
-def _t_sf(x: float, df: float) -> float:
-    """P(T > x) for x >= 0 and Student's t with ``df`` degrees of freedom."""
+def _t_sf(x, df) -> np.ndarray:
+    """P(T > x) elementwise, for x >= 0 and Student's t with ``df`` degrees of freedom."""
     x2 = x * x
     # 1 - df/(df + x²) is passed as x²/(df + x²), so tiny tails stay exact.
     return 0.5 * _betainc(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
@@ -126,10 +141,10 @@ def t_quantile(p: float, df: float) -> float:
     tail = min(p, 1.0 - p)  # 1 - p is exact when it is the smaller one
     if tail == 0.5:
         return 0.0
-    log_density0 = -0.5 * math.log(df) - _log_beta(0.5 * df, 0.5)
+    log_density0 = -0.5 * math.log(df) - float(_log_beta(0.5 * df, 0.5))
     t, lo, hi = -normal_quantile(tail), 0.0, math.inf
     for _ in range(60):  # rounding keeps steps from shrinking only near p = 0.5
-        sf = _t_sf(t, df)
+        sf = float(_t_sf(t, df))
         h = math.log(sf / tail)
         lo, hi = (t, hi) if h > 0.0 else (lo, t)
         step = h * sf / (t * math.exp(log_density0 - 0.5 * (df + 1.0) * math.log1p(t * t / df)))
@@ -223,69 +238,52 @@ def mann_whitney_exact_p(u_max: float, n1: int, n2: int) -> float:
     """
     counts = _rank_sum_counts(n1, n2)
     offset = n1 * (n1 + 1) // 2
-    count_ge = sum(
-        c for s, c in enumerate(counts) if s - offset >= u_max
-    )
+    count_ge = sum(c for s, c in enumerate(counts) if s - offset >= u_max)
     return min(1.0, 2.0 * count_ge / comb(n1 + n2, n1))
 
 
-def mann_whitney_approx_p(u_max: float, n1: int, n2: int, tie_sizes) -> float:
-    """Normal approximation with tie-corrected variance and continuity correction."""
+def mann_whitney_approx_p(u_max, n1: int, n2: int, tie_term=0.0) -> np.ndarray:
+    """Normal approximation with continuity correction, elementwise; the
+    variance is corrected by ``tie_term``, the sum of t³ - t over the sizes t
+    of the tie groups."""
     n = n1 + n2
-    mu = n1 * n2 / 2.0
-    tie_term = fsum(t**3 - t for t in tie_sizes)
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if variance <= 0:
-        return 1.0
-    z = (u_max - mu - 0.5) / math.sqrt(variance)
-    return min(1.0, max(0.0, 2.0 * (1.0 - normal_cdf(z))))
+    z = (u_max - n1 * n2 / 2.0 - 0.5) / np.sqrt(variance)
+    p = 2.0 * (1.0 - 0.5 * _erfc(-z / math.sqrt(2.0)))
+    return np.where(variance > 0, np.clip(p, 0.0, 1.0), 1.0)
 
 
 @lru_cache(maxsize=None)
 def _tie_free_p(n1: int, n2: int) -> np.ndarray:
-    """p-values of tie-free pairs by u_max, from (n1 * n2 + 1) // 2 up to
-    n1 * n2: exact up to EXACT_MANN_WHITNEY_LIMIT, approximated above it."""
-    exact = n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT
-    table = np.array([mann_whitney_exact_p(u, n1, n2) if exact
-                      else mann_whitney_approx_p(u, n1, n2, ())
+    """Exact p-values of tie-free pairs by u_max, from (n1 * n2 + 1) // 2 to n1 * n2."""
+    table = np.array([mann_whitney_exact_p(u, n1, n2)
                       for u in range((n1 * n2 + 1) // 2, n1 * n2 + 1)])
     table.flags.writeable = False
     return table
 
 
-def midranks(values) -> tuple[np.ndarray, list[int]]:
-    """1-based ranks of ``values``, tied values sharing the mean of their
-    ranks, and the sizes of the tie groups with more than one member."""
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    sizes = np.diff(np.append(starts, len(x)))
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
-    return ranks, sizes[sizes > 1].tolist()
-
-
 def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: U1, from the old sample's ranks, and the p-value.  A tie-free
-    row ranks by position, so U1 counts the (old, new) pairs with old > new,
-    and looks its p-value up by u_max; a row with a tie takes its midranks and
-    the tie-corrected approximation."""
+    """Per row: U1, counting each (old, new) pair with old > new as one and
+    each tied pair as a half, and the p-value.  A tie-free row up to
+    EXACT_MANN_WHITNEY_LIMIT looks its exact p-value up by u_max; every other
+    row takes the tie-corrected approximation."""
     n1, n2 = old.shape[1], new.shape[1]
-    pooled = np.concatenate((old, new), axis=1)
-    ordered = np.sort(pooled, axis=1, kind="stable")
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    u1 = np.add.reduce(old[:, :, None] > new[:, None, :], axis=(1, 2), dtype=np.float64)
-    tie_sizes = {}
-    for i in np.flatnonzero(tied):
-        ranks, tie_sizes[i] = midranks(pooled[i])
-        u1[i] = ranks[:n1].sum() - n1 * (n1 + 1) / 2.0
-    u2 = n1 * n2 - u1
-    u_max = np.maximum(u1, u2)
-    p = _tie_free_p(n1, n2)[np.where(tied, n1 * n2, u_max).astype(np.intp) - (n1 * n2 + 1) // 2]
-    for i, ties in tie_sizes.items():
-        p[i] = mann_whitney_approx_p(float(u_max[i]), n1, n2, ties)
-    return np.minimum(u1, u2), p
+    x, y = old[:, :, None], new[:, None, :]  # every (old, new) pair of a row
+    u1 = (np.add.reduce(x > y, axis=(1, 2), dtype=np.float64)
+          + np.add.reduce(x >= y, axis=(1, 2), dtype=np.float64)) / 2.0
+    ordered = np.sort(np.concatenate((old, new), axis=1), axis=1)
+    # c, the count of equal values before a position, runs 0..t-1 along a
+    # run of t equal values, and 3 * sum c(c + 1) over it is t³ - t.
+    position = np.arange(n1 + n2, dtype=np.int32)
+    starts = np.insert(ordered[:, 1:] != ordered[:, :-1], 0, True, axis=1)
+    c = position - np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    tie_term = 3.0 * (c * (c + 1)).sum(axis=1)
+    u_max = np.maximum(u1, n1 * n2 - u1)
+    p = mann_whitney_approx_p(u_max, n1, n2, tie_term)
+    if n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT:
+        free = tie_term == 0
+        p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp) - (n1 * n2 + 1) // 2]
+    return np.minimum(u1, n1 * n2 - u1), p
 
 
 # --- Welch -----------------------------------------------------------------
@@ -298,8 +296,8 @@ def _welch(diff, v1, n1, v2, n2) -> tuple[np.ndarray, np.ndarray]:
     t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
     df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))
     p = np.where(diff == 0, 1.0, 0.0)
-    for i in np.flatnonzero((diff != 0) & (se_sq != 0)):
-        p[i] = 2.0 * _t_sf(abs(float(t[i])), float(df[i]))
+    live = (diff != 0) & (se_sq != 0)
+    p[live] = 2.0 * _t_sf(np.abs(t[live]), df[live])
     return t, p
 
 

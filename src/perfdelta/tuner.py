@@ -83,6 +83,8 @@ class TunerPlan:
             raise ValueError("resamples must be >= 1")
         if self.delta_ops < 0 or self.delta_ns < 0:
             raise ValueError("deltas must be >= 0")
+        if self.synthetic_gamma is not None and not np.isfinite(self.synthetic_gamma):
+            raise ValueError(f"synthetic gamma must be finite, got {self.synthetic_gamma}")
 
 
 @dataclass(frozen=True)

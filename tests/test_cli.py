@@ -319,11 +319,18 @@ INJECT = ["inject", "--workload", "add", "--size", "10", "--no-parallel", *ONE_V
     ["power", "--gamma", "1", "--vm", "30"],
     ["power", "--gamma", "x", "--vms", "30"],
     ["stddev-sweep", "--workload", "mul", "--sizes", "10"],
+    ["power", "--gamma", "nan", "--vms", "30"],
+    ["power", "--gamma", "inf", "--vms", "30"],
+    ["power", "--gamma", "inf", "--beta", "0.1"],
+    ["power", "curve", "--gammas", "nan", "--vms-max", "3"],
+    ["tune", "--workload", "add", "--synthetic", "gamma=nan", "--vm-grid", "2",
+     "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1"],
 ], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
         "inject-subset-fraction", "sweep-vms", "tune-vm-grid", "tune-empty-vm-grid",
         "sweep-empty-sizes", "curve-empty-gammas", "curve-empty-vms-range", "power-no-gamma",
         "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
-        "bad-choice"])
+        "bad-choice", "power-nan-gamma", "power-inf-gamma", "power-inf-gamma-beta",
+        "curve-nan-gamma", "tune-nan-gamma"])
 def test_invalid_values_exit_with_validation_code(tmp_path, args):
     if args[0] in ("inject", "tune"):
         args = [*args, "--out", str(tmp_path / "out")]

@@ -19,7 +19,6 @@ from perfdelta.stats import (
     decide,
     mann_whitney_approx_p,
     mann_whitney_exact_p,
-    midranks,
     normal_cdf,
     normal_quantile,
     per_vm_means,
@@ -240,7 +239,7 @@ def test_exact_vs_approx_consistency_band():
         u1 = _u1(old, new)
         u_max = max(u1, n1 * n2 - u1)
         exact = mann_whitney_exact_p(u_max, n1, n2)
-        approx = mann_whitney_approx_p(u_max, n1, n2, [])
+        approx = mann_whitney_approx_p(u_max, n1, n2)
         worst = max(worst, abs(exact - approx))
     assert worst <= 0.02
 
@@ -273,26 +272,6 @@ def test_welch_matches_incomplete_beta_oracle():
         got = decide(old, new, WELCH).p_value
         want = oracles.welch_p_highprecision(old, new)
         assert got == pytest.approx(want, abs=1e-9)
-
-
-#: Few distinct values, so most draws are full of ties; signed zeros tie.
-tie_heavy_values = st.lists(
-    st.one_of(
-        st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.25, 1e9]),
-        st.floats(min_value=-1e6, max_value=1e6),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(tie_heavy_values)
-def test_midranks_match_counting_oracle(values):
-    ranks, ties = midranks(values)
-    want_ranks, want_ties = oracles.midranks_by_counting(values)
-    assert ranks.tolist() == [float(r) for r in want_ranks]
-    assert ties == want_ties
 
 
 # --- decide: batches -------------------------------------------------------
@@ -337,6 +316,9 @@ def _check_row_against_oracles(old, new, outcome, test, alpha):
         if not ties and n1 + n2 <= 14:
             assert outcome.p_value == pytest.approx(
                 oracles.mann_whitney_exact_bruteforce(old, new), abs=1e-12)
+        else:
+            assert outcome.p_value == pytest.approx(
+                oracles.mann_whitney_approx_p_highprecision(old, new), rel=1e-12)
     else:
 
         def interval(sample):
@@ -372,6 +354,23 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
         if one.p_value is not None:
             assert batched.p_value[i] == pytest.approx(one.p_value, rel=1e-12)
         _check_row_against_oracles(row_old, row_new, one, test, alpha)
+
+
+#: Few distinct values, so most draws are full of ties; signed zeros tie.
+tie_heavy_samples = st.lists(
+    st.one_of(
+        st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.25, 1e9]),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    min_size=2,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_samples, tie_heavy_samples)
+def test_mann_whitney_on_tie_heavy_samples_matches_oracles(old, new):
+    _check_row_against_oracles(old, new, decide(old, new, MW), StatTest.MANN_WHITNEY, MW.alpha)
 
 
 def test_a_column_major_batch_decides_as_its_rows():
@@ -488,6 +487,15 @@ def test_t_sf_two_degrees_closed_form():
     for x in np.linspace(0.0, 20.0, 201):
         want = 0.5 * (1.0 - x / math.sqrt(x * x + 2.0))
         assert _t_sf(x, 2) == pytest.approx(want, rel=1e-12)
+
+
+def test_t_sf_elements_do_not_depend_on_their_batch():
+    """Each element of the continued fraction stops at its own convergence,
+    after 1 to 58 steps here, so a tail computed among others is bit for
+    bit the tail computed alone."""
+    x, df = (grid.ravel() for grid in np.meshgrid(np.geomspace(1e-3, 1e3, 25),
+                                                  np.geomspace(1.0, 1e4, 25)))
+    assert _t_sf(x, df).tolist() == [float(_t_sf(a, b)) for a, b in zip(x, df)]
 
 
 @pytest.mark.parametrize("df", [1, 2.5, 7, 30, 1000.5])
