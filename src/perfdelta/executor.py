@@ -9,6 +9,14 @@ The child replies with one JSON result line on standard output.  Exit code 0
 means success; on failure a structured JSON error is written to standard
 error and the exit code is nonzero.
 
+The harness starts each child with :func:`perfdelta.harness.executor_command`:
+an interpreter in isolated mode without ``site`` (``-I -S``), whose bootstrap
+puts the parent's import path ahead of its own and calls :func:`main`.  No
+``PYTHON*`` environment variable reaches the child; others, such as
+``PERFDELTA_MEM_BUDGET_BYTES``, do.  The child imports only the model and the
+workloads: numpy loads when a workload builds its random generator, so an
+``allocate`` child never loads it.
+
 The clock is injected through :func:`clock_from_spec`, so tests and jobs can
 substitute a deterministic counter for the monotonic hardware clock.
 """

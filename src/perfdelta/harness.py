@@ -1,10 +1,12 @@
 """Campaign coordinator: spawns isolated executor processes and assembles series.
 
-Each VM start is a fresh OS process launched via ``python -m
-perfdelta.executor``; the parent stays single-threaded and at most one pair
-of executors runs at a time.  Every launch goes through ``_launch``: when a
-start fails, its result is bad or the wait is interrupted, every started
-child that has not exited is killed and reaped before the error propagates.
+Each VM start is a fresh OS process running :func:`executor_command`: an
+interpreter started with ``-I -S`` that takes this process's import path
+and no ``PYTHON*`` environment variable.  The parent stays single-threaded
+and at most one pair of executors runs at a time.  Every launch goes
+through ``_launch``: when a start fails, its result is bad or the wait is
+interrupted, every started child that has not exited is killed and reaped
+before the error propagates.
 """
 
 from __future__ import annotations
@@ -46,9 +48,34 @@ def _build_job(
     }
 
 
+#: Interpreter flags of every executor start, also recorded in a series' environment.
+_EXECUTOR_FLAGS = ("-I", "-S")
+
+# perfdelta's own root goes first on the handed-over path: it also covers an
+# editable install whose import finder does not sit on ``sys.path``.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+
+def executor_command() -> list[str]:
+    """The command line that starts one executor child.
+
+    ``-I`` drops ``PYTHONPATH``, user site and the working directory from
+    the child's path, and ``-S`` skips ``site`` with every ``.pth`` import,
+    so the bootstrap hands over perfdelta's root and this process's
+    non-empty ``sys.path`` entries instead.  Environment variables outside
+    ``PYTHON*``, such as ``PERFDELTA_MEM_BUDGET_BYTES``, still reach the child.
+    """
+    path = [_PACKAGE_ROOT, *(entry for entry in sys.path if entry)]
+    bootstrap = (
+        f"import sys; sys.path[:0] = {path!r}; "
+        "from perfdelta.executor import main; sys.exit(main())"
+    )
+    return [sys.executable, *_EXECUTOR_FLAGS, "-c", bootstrap]
+
+
 def _spawn(job: dict) -> subprocess.Popen:
     proc = subprocess.Popen(
-        [sys.executable, "-m", "perfdelta.executor"],
+        executor_command(),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -88,6 +115,7 @@ def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:
         "os": platform.platform(),
         "cpu": platform.processor() or platform.machine(),
         "python": platform.python_version(),
+        "executor_flags": " ".join(_EXECUTOR_FLAGS),
     }
     if clock_resolution_ns is not None:
         env["clock_resolution_ns"] = str(clock_resolution_ns)

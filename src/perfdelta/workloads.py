@@ -20,8 +20,6 @@ import io
 import os
 import time
 
-import numpy as np
-
 from .model import WorkloadKind, WorkloadSpec
 
 _MASK64 = (1 << 64) - 1
@@ -43,6 +41,11 @@ class SplitMix64:
     """64-bit shift-based PRNG; see the module docstring for the recurrence."""
 
     def __init__(self, seed: int):
+        # numpy is loaded by the first generator built, never inside a timed
+        # window, so a child whose workload draws nothing (allocate) skips it.
+        global np
+        import numpy as np
+
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -93,7 +96,6 @@ class WorkloadInstance:
 
     def __init__(self, spec: WorkloadSpec):
         self.spec = spec
-        self._rng = SplitMix64(spec.seed)
         #: Busy-wait nanoseconds added to one execution.
         self.added_ns = spec.injected_delay_ns * round(spec.size * spec.delay_subset_fraction)
 
@@ -117,6 +119,7 @@ class AddWorkload(WorkloadInstance):
 
     def __init__(self, spec: WorkloadSpec):
         super().__init__(spec)
+        self._rng = SplitMix64(spec.seed)
         self._sum = 0
 
     @property
@@ -168,6 +171,7 @@ class WriteWorkload(WorkloadInstance):
 
     def __init__(self, spec: WorkloadSpec):
         super().__init__(spec)
+        self._rng = SplitMix64(spec.seed)
         self._count = 0
         self._writer = io.StringIO()
 

@@ -279,7 +279,7 @@ def test_backwards_clock_is_fatal():
 
 def run_executor(job):
     return subprocess.run(
-        [sys.executable, "-m", "perfdelta.executor"],
+        harness.executor_command(),
         input=json.dumps(job),
         capture_output=True,
         text=True,
@@ -321,3 +321,45 @@ def test_executor_rejects_non_object_job():
 
 def test_executor_rejects_job_with_wrong_typed_field():
     assert_schema_error(run_executor(with_broken_size(make_job(), "4")), "workload.size")
+
+
+KIND_SPECS = {
+    "add": add_spec(),
+    "allocate": WorkloadSpec(kind=WorkloadKind.ALLOCATE, size=4),
+    "write": WorkloadSpec(kind=WorkloadKind.WRITE, size=4),
+}
+
+
+@pytest.mark.parametrize("kind,loads_numpy", [("add", True), ("allocate", False), ("write", True)])
+def test_child_loads_numpy_only_for_kinds_that_draw(kind, loads_numpy):
+    job = {**make_job(), "workload": to_document(KIND_SPECS[kind])}
+    code = (
+        f"import json, sys; sys.path[:0] = {sys.path!r}; "
+        "from perfdelta.executor import execute_job; "
+        "execute_job(json.loads(sys.stdin.read())); "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        input=json.dumps(job), capture_output=True, text=True, check=True,
+    )
+    assert ("numpy" in json.loads(proc.stdout)) is loads_numpy
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_child_ignores_the_callers_pythonpath(monkeypatch, tmp_path, kind):
+    shadow = tmp_path / "perfdelta"
+    shadow.mkdir()
+    (shadow / "__init__.py").write_text('raise ImportError("shadow perfdelta imported")\n')
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    # The harness refuses any VM whose executions_at_start is not 0.
+    series = run_campaign(small_config(), KIND_SPECS[kind], clock=FAKE)
+    assert len(series.vm_runs) == 2
+    assert series.environment["executor_flags"] == "-I -S"
+
+
+def test_child_reads_the_memory_budget_variable(monkeypatch):
+    monkeypatch.setattr(harness, "_check_memory_budget", lambda config, workload: None)
+    monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "1")
+    with pytest.raises(CampaignError, match="MemoryBudgetError"):
+        run_campaign(small_config(), KIND_SPECS["allocate"], clock=FAKE)
