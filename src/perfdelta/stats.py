@@ -15,9 +15,11 @@ Lentz's continued fraction, and t quantiles are Newton steps on them.
 so a batch of R sample pairs, such as the resampling trials of one tuner grid
 cell, is decided in one call.  Each test is one array expression over the
 rows: means and variances are two-pass numpy reductions, each row summed on
-its own, and the continued fraction runs elementwise, each element stopping
-at its own convergence, so a batched row decides exactly as its own 1-D call
-would.
+its own.  log B(a, b) of a tail is taken once, before the symmetry swap, and
+the continued fraction then iterates only over the elements that have not yet
+converged (dropping the converged ones whenever they are half of its arrays),
+each element stopping at its own convergence.  Each element does exactly its
+own arithmetic, so a batched row decides exactly as its own 1-D call would.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def normal_quantile(p: float) -> float:
 
 def _mapped(function):
     """A float function of one argument, over arrays: numpy has no lgamma or
-    erfc, and frompyfunc calls the math one from a C loop."""
-    ufunc = np.frompyfunc(function, 1, 1)
-    return lambda z: np.asarray(ufunc(z), dtype=np.float64)
+    erfc, so the math one is mapped over the values as Python floats."""
+    return lambda z: np.fromiter(map(function, np.ravel(z).tolist()), np.float64,
+                                 np.size(z)).reshape(np.shape(z))
 
 
 _lgamma, _erfc = _mapped(math.lgamma), _mapped(math.erfc)
@@ -84,16 +86,19 @@ _lgamma, _erfc = _mapped(math.lgamma), _mapped(math.erfc)
 
 def _log_beta(a, b) -> np.ndarray:
     """log B(a, b) elementwise, by Stirling's series once an argument reaches
-    100, where lgamma(large + small) - lgamma(large) starts to lose digits."""
-    small, large = np.minimum(a, b), np.maximum(a, b)
-    tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (large, a + b)]
-    stirling = (_lgamma(small) + small - (large - 0.5) * np.log1p(small / large)
-                - small * np.log(large + small) + tails[0] - tails[1])
-    return np.where(large < 100.0, _lgamma(a) + _lgamma(b) - _lgamma(a + b), stirling)
-
-
-def _nonzero(v: np.ndarray) -> np.ndarray:
-    return np.where(v == 0.0, 1e-300, v)  # 1e-300 stands in for 0 in Lentz's method
+    100, where lgamma(large + small) - lgamma(large) starts to lose digits.
+    Symmetric in a and b, bit for bit: a scalar ``b`` takes one lgamma call."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    value = np.asarray(_lgamma(a) + _lgamma(b) - _lgamma(a + b))
+    large = np.maximum(a, b)
+    far = large >= 100.0
+    if far.any():
+        small, large = np.minimum(a, b)[far], large[far]
+        tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z
+                 for z in (large, large + small)]
+        value[far] = (_lgamma(small) + small - (large - 0.5) * np.log1p(small / large)
+                      - small * np.log(large + small) + tails[0] - tails[1])
+    return value
 
 
 @np.errstate(divide="ignore")  # a zero x or y takes log(0) = -inf
@@ -101,26 +106,51 @@ def _betainc(a, b, x, y) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) elementwise, with ``y`` = 1 - x
     passed apart: Lentz's continued fraction below x = (a+1)/(a+b+2), where it
     converges fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it.  An
-    element stops when its own fraction converges, whatever the others do."""
-    swap = x > (a + 1.0) / (a + b + 2.0)
+    element stops when its own fraction converges and does exactly its own
+    arithmetic, whatever the others do; converged elements leave the arrays
+    as the fraction goes."""
+    log_beta = _log_beta(a, b)  # symmetric, so taken once, before the swap
+    swap = np.asarray(x > (a + 1.0) / (a + b + 2.0))
     a, b, x, y = (np.where(swap, u, v) for u, v in ((b, a), (a, b), (y, x), (x, y)))
-    front = np.exp(a * np.log(x) + b * np.log(y) - _log_beta(a, b)) / a
-    # d and c are the ratios of successive convergents.
-    c, d = np.ones_like(x), 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
-    fraction, a2m, active = d, a, np.ones_like(x, dtype=bool)
+    front = np.exp(a * np.log(x) + b * np.log(y) - log_beta) / a
+    a, b, x = a.ravel(), b.ravel(), x.ravel()
+    zero = x == 0.0
+    # d and c are the ratios of successive convergents; 1e-300 stands in for
+    # a zero one in Lentz's method.
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d[d == 0.0] = 1e-300
+    c, d = np.ones_like(x), 1.0 / d
+    # The arrays hold the elements ``live``; those still ``going`` have not
+    # converged, and ``result`` takes each fraction by element.
+    fraction, a2m, result = d, a, np.empty_like(x)
+    live, going = np.arange(x.size), np.ones(x.size, dtype=bool)
     for m in range(1, 100_000):  # about sqrt(a) steps are needed
         a2m, grown = a2m + 2.0, fraction
         for coefficient in (m * (b - m) * x / ((a2m - 1.0) * a2m),
                             -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
-            d = 1.0 / _nonzero(1.0 + coefficient * d)
-            c = _nonzero(1.0 + coefficient / c)
+            d = 1.0 + coefficient * d
+            d[d == 0.0] = 1e-300
+            d = 1.0 / d
+            c = 1.0 + coefficient / c
+            c[c == 0.0] = 1e-300
             delta = d * c
             grown = grown * delta
-        fraction = np.where(active, grown, fraction)
-        active = active & (np.abs(delta - 1.0) >= 1e-15)  # a NaN element stops too
-        if not active.any():
-            break
-    value = np.where(x == 0.0, 0.0, front * fraction)
+        fraction = np.where(going, grown, fraction)
+        going = going & (np.abs(delta - 1.0) >= 1e-15)  # a NaN element stops too
+        left = int(np.count_nonzero(going))
+        if 2 * left <= going.size:
+            result[live] = fraction
+            if not left:
+                break
+            # Drop converged elements down to a power-of-two length: numpy
+            # keeps freed small buffers by size, so a new length every step
+            # would raise peak memory.
+            keep = np.argsort(~going, kind="stable")[:1 << (left - 1).bit_length()]
+            live, a, b, x, a2m, c, d, fraction, going = (
+                v[keep] for v in (live, a, b, x, a2m, c, d, fraction, going))
+    else:
+        result[live] = fraction  # elements still going after the last step
+    value = np.where(zero, 0.0, front.ravel() * result).reshape(swap.shape)
     return np.where(swap, 1.0 - value, value)
 
 
@@ -278,12 +308,13 @@ def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndar
     starts = np.insert(ordered[:, 1:] != ordered[:, :-1], 0, True, axis=1)
     c = position - np.maximum.accumulate(np.where(starts, position, 0), axis=1)
     tie_term = 3.0 * (c * (c + 1)).sum(axis=1)
-    u_max = np.maximum(u1, n1 * n2 - u1)
-    p = mann_whitney_approx_p(u_max, n1, n2, tie_term)
-    if n1 + n2 <= EXACT_MANN_WHITNEY_LIMIT:
-        free = tie_term == 0
-        p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp) - (n1 * n2 + 1) // 2]
-    return np.minimum(u1, n1 * n2 - u1), p
+    u_max, u_min = np.maximum(u1, n1 * n2 - u1), np.minimum(u1, n1 * n2 - u1)
+    if n1 + n2 > EXACT_MANN_WHITNEY_LIMIT:
+        return u_min, mann_whitney_approx_p(u_max, n1, n2, tie_term)
+    free, p = tie_term == 0, np.empty_like(u_max)
+    p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp) - (n1 * n2 + 1) // 2]
+    p[~free] = mann_whitney_approx_p(u_max[~free], n1, n2, tie_term[~free])
+    return u_min, p
 
 
 # --- Welch -----------------------------------------------------------------

@@ -5,10 +5,13 @@ implementation it checks: brute-force enumeration instead of counting
 recurrences, arbitrary-precision arithmetic instead of floats,
 incomplete-beta tail probabilities instead of library survival functions, and
 one 1-D decision per resampling trial instead of one batch per grid cell.
+The whole-batch Student-t tail kernel that the compacting one replaced is
+kept verbatim, as the bit-for-bit reference for it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -107,6 +110,63 @@ def welch_p_highprecision(x, y) -> float:
 def _t_tail(x, df):
     """P(T > x) for x >= 0 and Student's t, as half a regularized incomplete beta."""
     return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + x * x), regularized=True) / 2
+
+
+# --- reference Student-t tail kernel -----------------------------------------
+# ``stats._log_beta`` and ``stats._betainc`` as they were before the continued
+# fraction dropped converged elements and log B moved before the swap: every
+# element runs until the slowest one stops, and log B takes four lgamma
+# passes.  Each element does the same arithmetic either way.
+
+
+def _mapped(function):
+    ufunc = np.frompyfunc(function, 1, 1)
+    return lambda z: np.asarray(ufunc(z), dtype=np.float64)
+
+
+_lgamma = _mapped(math.lgamma)
+
+
+def _log_beta_whole_batch(a, b) -> np.ndarray:
+    small, large = np.minimum(a, b), np.maximum(a, b)
+    tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z for z in (large, a + b)]
+    stirling = (_lgamma(small) + small - (large - 0.5) * np.log1p(small / large)
+                - small * np.log(large + small) + tails[0] - tails[1])
+    return np.where(large < 100.0, _lgamma(a) + _lgamma(b) - _lgamma(a + b), stirling)
+
+
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    return np.where(v == 0.0, 1e-300, v)  # 1e-300 stands in for 0 in Lentz's method
+
+
+@np.errstate(divide="ignore")  # a zero x or y takes log(0) = -inf
+def _betainc_whole_batch(a, b, x, y) -> np.ndarray:
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    a, b, x, y = (np.where(swap, u, v) for u, v in ((b, a), (a, b), (y, x), (x, y)))
+    front = np.exp(a * np.log(x) + b * np.log(y) - _log_beta_whole_batch(a, b)) / a
+    # d and c are the ratios of successive convergents.
+    c, d = np.ones_like(x), 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction, a2m, active = d, a, np.ones_like(x, dtype=bool)
+    for m in range(1, 100_000):  # about sqrt(a) steps are needed
+        a2m, grown = a2m + 2.0, fraction
+        for coefficient in (m * (b - m) * x / ((a2m - 1.0) * a2m),
+                            -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
+            d = 1.0 / _nonzero(1.0 + coefficient * d)
+            c = _nonzero(1.0 + coefficient / c)
+            delta = d * c
+            grown = grown * delta
+        fraction = np.where(active, grown, fraction)
+        active = active & (np.abs(delta - 1.0) >= 1e-15)  # a NaN element stops too
+        if not active.any():
+            break
+    value = np.where(x == 0.0, 0.0, front * fraction)
+    return np.where(swap, 1.0 - value, value)
+
+
+def t_sf_whole_batch(x, df) -> np.ndarray:
+    """P(T > x) elementwise by the reference kernel, as ``stats._t_sf`` calls it."""
+    x2 = x * x
+    return 0.5 * _betainc_whole_batch(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
 
 
 def t_sf_highprecision(x: float, df: float) -> float:

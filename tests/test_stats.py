@@ -14,7 +14,9 @@ import oracles
 from conftest import make_series
 from perfdelta.model import DecisionConfig, StatTest, serialize_series
 from perfdelta.stats import (
+    EXACT_MANN_WHITNEY_LIMIT,
     StatsError,
+    _log_beta,
     _t_sf,
     decide,
     mann_whitney_approx_p,
@@ -373,6 +375,30 @@ def test_mann_whitney_on_tie_heavy_samples_matches_oracles(old, new):
     _check_row_against_oracles(old, new, decide(old, new, MW), StatTest.MANN_WHITNEY, MW.alpha)
 
 
+def test_mann_whitney_mixed_small_rows_decide_as_their_own_calls():
+    """At n1 = n2 = 6 a batch mixes tie-free rows, whose p comes from the
+    exact table, with tied rows, whose p is approximated: each row's p is its
+    own 1-D call's, and a tie-free row's is the exact one."""
+    assert 12 <= EXACT_MANN_WHITNEY_LIMIT
+    rng = np.random.default_rng(6)
+    old, new = rng.permutation(np.arange(48.0)).reshape(2, 4, 6)  # tie-free
+    tied_old, tied_new = rng.integers(0, 5, size=(2, 4, 6)).astype(float)
+    old, new = np.concatenate((old, tied_old)), np.concatenate((new, tied_new))
+    old[1], new[1] = np.arange(6.0) + 6.0, np.arange(6.0)  # u_max = 36
+    order = [0, 4, 1, 5, 2, 6, 3, 7]
+    old, new = old[order], new[order]
+    batched = decide(old, new, MW)
+    tie_free = [len(set(o) | set(n)) == 12 for o, n in zip(old.tolist(), new.tolist())]
+    assert tie_free == [True, False] * 4
+    for i, (row_old, row_new) in enumerate(zip(old.tolist(), new.tolist())):
+        one = decide(row_old, row_new, MW)
+        assert batched.p_value[i] == one.p_value
+        assert batched.statistic[i] == one.statistic
+        if tie_free[i]:
+            u_max = 36 - one.statistic
+            assert one.p_value == mann_whitney_exact_p(u_max, 6, 6)
+
+
 def test_a_column_major_batch_decides_as_its_rows():
     """A transposed batch's rows are summed as 1-D samples are, pairwise,
     where numpy would otherwise add up each strided row in sequence."""
@@ -496,6 +522,35 @@ def test_t_sf_elements_do_not_depend_on_their_batch():
     x, df = (grid.ravel() for grid in np.meshgrid(np.geomspace(1e-3, 1e3, 25),
                                                   np.geomspace(1.0, 1e4, 25)))
     assert _t_sf(x, df).tolist() == [float(_t_sf(a, b)) for a, b in zip(x, df)]
+
+
+def test_t_sf_equals_the_whole_batch_reference_kernel():
+    """The compacting continued fraction and the single log B pass do each
+    element's arithmetic as the whole-batch kernel in ``oracles`` does, so
+    every tail agrees bit for bit, Stirling's branch (df >= 200) included."""
+    grid = np.meshgrid(np.geomspace(1e-3, 1e3, 25), np.geomspace(1.0, 1e4, 25))
+    rng = np.random.default_rng(26)
+    seeded = (rng.exponential(3.0, 20_000) * rng.choice([1e-3, 1.0, 30.0], 20_000),
+              np.exp(rng.uniform(0.0, math.log(1e4), 20_000)))
+    edges = np.meshgrid([0.0, 1e-300, 0.5, 40.0], [1.0, 1e6])
+    for x, df in ([g.ravel() for g in grid], seeded, [e.ravel() for e in edges]):
+        assert _t_sf(x, df).tobytes() == oracles.t_sf_whole_batch(x, df).tobytes()
+        assert (_t_sf(x[0], df[0]).tobytes()
+                == oracles.t_sf_whole_batch(x[0], df[0]).tobytes())
+
+
+@pytest.mark.parametrize("b", [0.5, 7.0, 99.5, 100.0, 2500.0])
+def test_log_beta_is_symmetric_bit_for_bit(b):
+    """``_betainc`` takes log B before its swap, which holds only if
+    exchanging the arguments changes no bit, on both sides of the Stirling
+    threshold at 100."""
+    a = np.concatenate((np.geomspace(0.5, 99.0, 40), [99.5, 100.0, 100.5],
+                        np.geomspace(101.0, 1e5, 40)))
+    assert _log_beta(a, b).tobytes() == _log_beta(b, a).tobytes()
+    b_array = np.full_like(a, b)
+    assert _log_beta(a, b_array).tobytes() == _log_beta(b_array, a).tobytes()
+    assert _log_beta(a, b_array).tobytes() == _log_beta(a, b).tobytes()
+    assert _log_beta(a, a[::-1]).tobytes() == _log_beta(a[::-1], a).tobytes()
 
 
 @pytest.mark.parametrize("df", [1, 2.5, 7, 30, 1000.5])
