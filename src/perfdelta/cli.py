@@ -140,15 +140,13 @@ def _power(args) -> None:
         raise ValueError("--seconds-per-vm and --budget are given together or not at all")
     if args.seconds_per_vm is not None and args.beta is None:
         raise ValueError("--seconds-per-vm and --budget check the VMs --beta requires")
-    if args.parallel and args.seconds_per_vm is None:
-        raise ValueError("--parallel halves the wall time --seconds-per-vm and --budget check")
     if args.vms is not None:
         print(f"beta={power.type_ii_error(args.gamma, args.vms, args.alpha)!r}")
     elif args.seconds_per_vm is None:
         print(f"required_vms={power.required_vms(args.gamma, args.alpha, args.beta)}")
     else:
         report = power.feasibility(args.gamma, args.alpha, args.beta, args.seconds_per_vm,
-                                   args.budget_seconds, parallel_pairs=args.parallel)
+                                   args.budget_seconds)
         print(f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
               f"feasible={str(report.feasible).lower()}")
 
@@ -223,7 +221,7 @@ def _inject(args) -> None:
     """Inject a busy-wait regression repeatedly and report the detection rate."""
     from .injection import run_injection_study
 
-    config = _config(args, parallel_pairs=args.parallel)
+    config = _config(args)
     workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size, seed=args.seed)
     report = run_injection_study(workload, args.delta_ns, config, _decision(args), args.trials,
                                  seed=args.seed, subset_fraction=args.subset_fraction)
@@ -281,10 +279,9 @@ def _parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--vms", type=int)
     p.add_argument("--beta", type=float)
-    p.add_argument("--seconds-per-vm", type=float)
+    p.add_argument("--seconds-per-vm", type=float,
+                   help="Wall time of one VM index's old and new start together.")
     p.add_argument("--budget", dest="budget_seconds", type=float)
-    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=False,
-                   help="Halve the projected wall time for paired parallel runs.")
     p = command(p.add_subparsers(metavar="COMMAND"), "curve", _curve)
     p.add_argument("--gammas", type=_list(float), required=True,
                    help="Comma-separated effect sizes.")
@@ -325,7 +322,6 @@ def _parser() -> _Parser:
     p.add_argument("--delta-ns", type=int, default=5)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--subset-fraction", type=float, default=1.0)
-    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True)
     _decision_options(p)
     p.add_argument("--out", dest="out_path", type=_out, required=True)
     return parser

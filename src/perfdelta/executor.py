@@ -1,10 +1,10 @@
 """Child-side executor: runs one VM start's worth of iterations.
 
 Protocol: the parent writes a single JSON job document to the child's
-standard input: ``{"config": ..., "workload": ..., "clock": ...,
-"cpu_affinity": ...}``, the first two a :class:`MeasurementConfig` and a
-:class:`WorkloadSpec` in the layout of :func:`~perfdelta.model.to_document`,
-read back with :func:`~perfdelta.model.from_document`.
+standard input: ``{"config": ..., "workload": ..., "clock": ...}``, the
+first two a :class:`MeasurementConfig` and a :class:`WorkloadSpec` in the
+layout of :func:`~perfdelta.model.to_document`, read back with
+:func:`~perfdelta.model.from_document`.
 The child replies with one JSON result line on standard output.  Exit code 0
 means success; on failure a structured JSON error is written to standard
 error and the exit code is nonzero.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import sys
 import time
 
@@ -140,9 +139,6 @@ def execute_job(job: dict, clock=None) -> dict:
 def main() -> int:
     try:
         job = from_document(dict, json.loads(sys.stdin.read()))
-        affinity = job.get("cpu_affinity")
-        if affinity and hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, set(affinity))
         result = execute_job(job)
     except Exception as exc:  # structured diagnostics instead of a bare crash
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -3,16 +3,15 @@
 Each VM start is a fresh OS process running :func:`executor_command`: an
 interpreter started with ``-I -S`` that takes this process's import path
 and no ``PYTHON*`` environment variable.  The parent stays single-threaded
-and at most one pair of executors runs at a time.  Every launch goes
-through ``_launch``: when a start fails, its result is bad or the wait is
-interrupted, every started child that has not exited is killed and reaped
-before the error propagates.
+and runs one executor at a time, so each VM start is timed alone; a paired
+campaign alternates the old and the new version's starts.  Every launch
+goes through ``_launch``: when a child fails, its result is bad or the wait
+is interrupted, the child is killed and reaped before the error propagates.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import platform
 import subprocess
@@ -23,8 +22,6 @@ from .executor import FakeClock
 from .model import CampaignError, MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
 from .model import from_document, to_document, utc_now
 
-log = logging.getLogger(__name__)
-
 
 def _clock_job_entry(clock) -> dict | None:
     if clock is None:
@@ -34,17 +31,11 @@ def _clock_job_entry(clock) -> dict | None:
     raise ValueError(f"cannot serialize clock of type {type(clock).__name__} into a job")
 
 
-def _build_job(
-    config: MeasurementConfig,
-    workload: WorkloadSpec,
-    clock,
-    cpu_affinity: list[int] | None = None,
-) -> dict:
+def _build_job(config: MeasurementConfig, workload: WorkloadSpec, clock) -> dict:
     return {
         "config": to_document(config),
         "workload": to_document(workload),
         "clock": _clock_job_entry(clock),
-        "cpu_affinity": cpu_affinity,
     }
 
 
@@ -122,33 +113,29 @@ def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:
     return env
 
 
-def _launch(config: MeasurementConfig, epochs, clock) -> dict:
-    """Run launch epochs in order and assemble one series per version.
+def _launch(config: MeasurementConfig, members, clock) -> dict:
+    """Run executor starts in order and assemble one series per version.
 
-    Each epoch is a list of ``(version, vm_index, workload, cpu_affinity)``
-    members: all of them are spawned, then each is finished in order.  On
-    any failure or interrupt, every member of the epoch that has not exited
-    is killed and reaped before the exception propagates.
+    ``members`` lists ``(version, vm_index, workload)`` starts; each is
+    spawned and finished before the next one starts.  On any failure or
+    interrupt while waiting, the child is killed and reaped, unless it has
+    already exited, before the exception propagates.
     """
     runs: dict[str | None, list[VmRun]] = {}
     specs: dict[str | None, WorkloadSpec] = {}
     resolution = None
-    for epoch in epochs:
-        started = []
+    for version, vm_index, workload in members:
+        proc = _spawn(_build_job(config, workload, clock))
         try:
-            for _, _, workload, cpu_affinity in epoch:
-                started.append(_spawn(_build_job(config, workload, clock, cpu_affinity)))
-            for proc, (version, vm_index, workload, _) in zip(started, epoch):
-                run, run_resolution = _finish(proc, vm_index, version)
-                resolution = run_resolution if resolution is None else resolution
-                runs.setdefault(version, []).append(run)
-                specs[version] = workload
+            run, run_resolution = _finish(proc, vm_index, version)
         except BaseException:
-            for proc in started:
-                if proc.returncode is None:
-                    proc.kill()
-                    proc.communicate()
+            if proc.returncode is None:
+                proc.kill()
+                proc.communicate()
             raise
+        resolution = run_resolution if resolution is None else resolution
+        runs.setdefault(version, []).append(run)
+        specs[version] = workload
     environment = _environment_metadata(resolution)
     timestamp = utc_now()
     return {
@@ -176,17 +163,8 @@ def run_campaign(
 ) -> MeasurementSeries:
     """Run ``config.vms`` sequential executor starts and assemble the series."""
     _check_memory_budget(config, workload)
-    epochs = [[(None, vm_index, workload, None)] for vm_index in range(config.vms)]
-    return _launch(config, epochs, clock)[None]
-
-
-def _pair_affinity() -> tuple[list[int] | None, list[int] | None]:
-    if hasattr(os, "sched_getaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        if len(cpus) >= 2:
-            return [cpus[0]], [cpus[1]]
-    log.warning("fewer than 2 CPUs available; parallel pair executors run unpinned")
-    return None, None
+    members = [(None, vm_index, workload) for vm_index in range(config.vms)]
+    return _launch(config, members, clock)[None]
 
 
 def run_paired_campaign(
@@ -195,27 +173,15 @@ def run_paired_campaign(
     workload_new: WorkloadSpec,
     clock=None,
 ) -> tuple[MeasurementSeries, MeasurementSeries]:
-    """Measure two versions with aligned VM indices.
-
-    With ``config.parallel_pairs`` both versions' executor ``i`` start
-    simultaneously and the next pair starts only after both finished;
-    otherwise launches alternate old/new sequentially.
-    """
+    """Measure two versions with aligned VM indices, alternating old and new starts."""
     if workload_old.kind is not workload_new.kind:
         raise ValueError("paired campaigns require both workloads to share a kind")
     for workload in (workload_old, workload_new):
         _check_memory_budget(config, workload)
-    if config.parallel_pairs:
-        cpu_old, cpu_new = _pair_affinity()
-        epochs = [
-            [("old", i, workload_old, cpu_old), ("new", i, workload_new, cpu_new)]
-            for i in range(config.vms)
-        ]
-    else:
-        epochs = [
-            [member]
-            for i in range(config.vms)
-            for member in (("old", i, workload_old, None), ("new", i, workload_new, None))
-        ]
-    series = _launch(config, epochs, clock)
+    members = [
+        member
+        for i in range(config.vms)
+        for member in (("old", i, workload_old), ("new", i, workload_new))
+    ]
+    series = _launch(config, members, clock)
     return series["old"], series["new"]

@@ -79,7 +79,6 @@ class MeasurementConfig:
     measurement_iterations: int
     repetitions: int
     trigger_gc_between_iterations: bool = False
-    parallel_pairs: bool = False
 
     def __post_init__(self) -> None:
         _require(self.vms >= 1, "config.vms", "must be >= 1")

@@ -67,19 +67,17 @@ def feasibility(
     beta: float,
     seconds_per_vm: float,
     budget_seconds: float,
-    parallel_pairs: bool = False,
 ) -> FeasibilityReport:
     """Whether the VMs required for (gamma, alpha, beta) fit the time budget.
 
-    With ``parallel_pairs`` the two versions run simultaneously, halving the
-    total wall time.  The budget boundary is inclusive.
+    ``seconds_per_vm`` is the wall time of one VM index of a paired
+    campaign, its old and its new start together, so the total is
+    ``required_vms * seconds_per_vm``.  The budget boundary is inclusive.
     """
     if seconds_per_vm <= 0 or budget_seconds <= 0:
         raise ValueError("durations must be positive")
     vms = required_vms(gamma, alpha, beta)
     total = vms * seconds_per_vm
-    if parallel_pairs:
-        total /= 2.0
     return FeasibilityReport(
         required_vms=vms,
         seconds_per_vm=seconds_per_vm,

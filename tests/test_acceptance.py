@@ -194,14 +194,14 @@ def test_criterion_7_harness_structural_correctness(verdict, monkeypatch):
 
     events = record_launches(monkeypatch)
     pair_config = MeasurementConfig(
-        vms=3, warmup_iterations=1, measurement_iterations=1, repetitions=10,
-        parallel_pairs=True,
+        vms=3, warmup_iterations=1, measurement_iterations=1, repetitions=10
     )
-    run_paired_campaign(pair_config, workload, workload, clock=FakeClock(step_ns=1000))
-    epochs_ok = events == [
+    new_workload = WorkloadSpec(kind=WorkloadKind.ADD, size=4, seed=2)
+    run_paired_campaign(pair_config, workload, new_workload, clock=FakeClock(step_ns=1000))
+    launches_ok = events == [
         e
         for i in range(3)
-        for e in (("spawn", 1), ("spawn", 1), ("finish", "old", i), ("finish", "new", i))
+        for e in (("spawn", 1), ("finish", "old", i), ("spawn", 2), ("finish", "new", i))
     ]
 
     data = serialize_series(series)
@@ -209,7 +209,7 @@ def test_criterion_7_harness_structural_correctness(verdict, monkeypatch):
 
     verdict(
         "7 harness structural correctness",
-        shape_ok and division_ok and epochs_ok and round_trip_ok,
+        shape_ok and division_ok and launches_ok and round_trip_ok,
     )
 
 
@@ -253,7 +253,7 @@ def test_criterion_8_desk_scale_substitution(verdict, tmp_path, capsys):
 
     config = MeasurementConfig(
         vms=30, warmup_iterations=49, measurement_iterations=49,
-        repetitions=100_000, parallel_pairs=True,
+        repetitions=100_000,
     )
     workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300)
     null_report = run_injection_study(workload, 0, config, MW, trials=100, seed=8)

@@ -143,9 +143,6 @@ def test_power_requires_exactly_one_direction():
         ["--beta", "0.01", "--budget", "5"],
         ["--vms", "30", "--budget", "5"],
         ["--vms", "30", "--seconds-per-vm", "97", "--budget", "5"],
-        # --parallel only halves a budget check's wall time.
-        ["--vms", "30", "--parallel"],
-        ["--beta", "0.01", "--parallel"],
     ):
         result = invoke(["power", "--gamma", "0.5", *args])
         assert result.exit_code == 2, args
@@ -284,7 +281,7 @@ def test_inject_writes_study_report(tmp_path):
     result = invoke([
         "inject", "--workload", "add", "--size", "50", "--delta-ns", "5",
         "--trials", "2", "--vms", "2", "--warmup", "1", "--iterations", "2",
-        "--repetitions", "5", "--no-parallel", "--out", str(out),
+        "--repetitions", "5", "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
@@ -296,7 +293,7 @@ def test_inject_writes_study_report(tmp_path):
 # --- exit codes --------------------------------------------------------------
 
 ONE_VM = ["--vms", "1", "--warmup", "0", "--iterations", "1", "--repetitions", "1"]
-INJECT = ["inject", "--workload", "add", "--size", "10", "--no-parallel", *ONE_VM]
+INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
 
 
 @pytest.mark.parametrize("args", [
@@ -325,12 +322,14 @@ INJECT = ["inject", "--workload", "add", "--size", "10", "--no-parallel", *ONE_V
     ["power", "curve", "--gammas", "nan", "--vms-max", "3"],
     ["tune", "--workload", "add", "--synthetic", "gamma=nan", "--vm-grid", "2",
      "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1"],
+    ["power", "--gamma", "0.5", "--vms", "30", "--parallel"],
+    [*INJECT, "--parallel"],
 ], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
         "inject-subset-fraction", "sweep-vms", "tune-vm-grid", "tune-empty-vm-grid",
         "sweep-empty-sizes", "curve-empty-gammas", "curve-empty-vms-range", "power-no-gamma",
         "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
         "bad-choice", "power-nan-gamma", "power-inf-gamma", "power-inf-gamma-beta",
-        "curve-nan-gamma", "tune-nan-gamma"])
+        "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel"])
 def test_invalid_values_exit_with_validation_code(tmp_path, args):
     if args[0] in ("inject", "tune"):
         args = [*args, "--out", str(tmp_path / "out")]
@@ -412,7 +411,7 @@ def documents(tmp_path_factory):
     ])
     invoke([
         "inject", "--workload", "add", "--size", "10", "--trials", "1", "--vms", "2",
-        "--warmup", "0", "--iterations", "1", "--repetitions", "1", "--no-parallel",
+        "--warmup", "0", "--iterations", "1", "--repetitions", "1",
         "--out", str(d / "study.json"),
     ])
     return {

@@ -62,22 +62,9 @@ def test_sequential_campaign_logs_one_epoch_per_vm(monkeypatch):
     assert events == [e for i in range(3) for e in (("spawn", 7), ("finish", None, i))]
 
 
-def test_paired_parallel_launch_pattern(monkeypatch):
-    events = record_launches(monkeypatch)
-    config = small_config(vms=3, parallel_pairs=True)
-    old, new = run_paired_campaign(config, add_spec(), add_spec(seed=8), clock=FAKE)
-    assert events == [
-        e
-        for i in range(3)
-        for e in (("spawn", 7), ("spawn", 8), ("finish", "old", i), ("finish", "new", i))
-    ]
-    assert len(old.vm_runs) == len(new.vm_runs) == 3
-    assert old.workload.seed == 7 and new.workload.seed == 8
-
-
 def test_paired_sequential_alternates_versions(monkeypatch):
     events = record_launches(monkeypatch)
-    config = small_config(vms=3, parallel_pairs=False)
+    config = small_config(vms=3)
     run_paired_campaign(config, add_spec(), add_spec(seed=8), clock=FAKE)
     assert events == [
         e
@@ -104,8 +91,8 @@ def with_broken_size(job, size=-1):
 
 
 def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
-    def broken_job(config, workload, clock, cpu_affinity=None):
-        return with_broken_size(REAL_BUILD_JOB(config, workload, clock, cpu_affinity))
+    def broken_job(config, workload, clock):
+        return with_broken_size(REAL_BUILD_JOB(config, workload, clock))
 
     monkeypatch.setattr(harness, "_build_job", broken_job)
     with pytest.raises(CampaignError) as excinfo:
@@ -129,9 +116,9 @@ def test_malformed_result_line_is_an_executor_failure(monkeypatch, line):
 def test_paired_failure_names_the_version(monkeypatch):
     calls = {"n": 0}
 
-    def sabotage_new(config, workload, clock, cpu_affinity=None):
+    def sabotage_new(config, workload, clock):
         calls["n"] += 1
-        job = REAL_BUILD_JOB(config, workload, clock, cpu_affinity)
+        job = REAL_BUILD_JOB(config, workload, clock)
         if calls["n"] == 2:  # the first "new" launch of a sequential pair
             return with_broken_size(job)
         return job
@@ -143,57 +130,10 @@ def test_paired_failure_names_the_version(monkeypatch):
     assert excinfo.value.vm_index == 0
 
 
-def test_parallel_failure_reaps_both_members(monkeypatch):
-    calls = {"n": 0}
-    spawned = []
-    real_spawn = harness._spawn
-
-    def sabotage_old(config, workload, clock, cpu_affinity=None):
-        calls["n"] += 1
-        job = REAL_BUILD_JOB(config, workload, clock, cpu_affinity)
-        if calls["n"] == 1:  # the "old" member of the first parallel pair
-            return with_broken_size(job)
-        return job
-
-    def recording_spawn(job):
-        proc = real_spawn(job)
-        spawned.append(proc)
-        return proc
-
-    monkeypatch.setattr(harness, "_build_job", sabotage_old)
-    monkeypatch.setattr(harness, "_spawn", recording_spawn)
-    with pytest.raises(CampaignError) as excinfo:
-        run_paired_campaign(small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE)
-    assert excinfo.value.version == "old"
-    assert len(spawned) == 2
-    assert all(proc.returncode is not None for proc in spawned)
-
-
-def test_parallel_spawn_failure_reaps_old_member(monkeypatch):
-    spawned = []
-    real_spawn = harness._spawn
-
-    def failing_second_spawn(job):
-        if spawned:  # the "new" member of the first parallel pair
-            raise OSError("cannot start the new member")
-        proc = real_spawn(job)
-        spawned.append(proc)
-        return proc
-
-    monkeypatch.setattr(harness, "_spawn", failing_second_spawn)
-    with pytest.raises(OSError, match="new member"):
-        run_paired_campaign(small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE)
-    assert len(spawned) == 1
-    assert spawned[0].returncode is not None
-
-
 LAUNCH_MODES = {
     "campaign": lambda: run_campaign(small_config(), add_spec(), clock=FAKE),
     "sequential pair": lambda: run_paired_campaign(
         small_config(), add_spec(), add_spec(), clock=FAKE
-    ),
-    "parallel pair": lambda: run_paired_campaign(
-        small_config(parallel_pairs=True), add_spec(), add_spec(), clock=FAKE
     ),
 }
 
@@ -227,7 +167,6 @@ def make_job():
         "config": to_document(small_config(warmup_iterations=2)),
         "workload": to_document(add_spec()),
         "clock": {"step_ns": 500},
-        "cpu_affinity": None,
     }
 
 

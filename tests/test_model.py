@@ -136,7 +136,6 @@ def random_series(draw):
             measurement_iterations=iterations,
             repetitions=repetitions,
             trigger_gc_between_iterations=draw(st.booleans()),
-            parallel_pairs=draw(st.booleans()),
         ),
         workload=WorkloadSpec(
             kind=draw(st.sampled_from(list(WorkloadKind))),
@@ -172,7 +171,6 @@ def golden_series() -> MeasurementSeries:
             measurement_iterations=3,
             repetitions=1000,
             trigger_gc_between_iterations=True,
-            parallel_pairs=True,
         ),
         workload=WorkloadSpec(
             kind=WorkloadKind.WRITE,
@@ -203,6 +201,79 @@ def test_golden_series_file_reproduced_byte_for_byte():
     assert serialize_series(deserialize_series(data)) == data
 
 
+# golden_series_v1.json as written while configs still held "parallel_pairs",
+# a field the decoder now ignores like any other extra key.
+GOLDEN_SERIES_WITH_PARALLEL_PAIRS = b"""\
+{
+  "format_version": "1",
+  "config": {
+    "vms": 3,
+    "warmup_iterations": 2,
+    "measurement_iterations": 3,
+    "repetitions": 1000,
+    "trigger_gc_between_iterations": true,
+    "parallel_pairs": true
+  },
+  "workload": {
+    "kind": "write",
+    "size": 300,
+    "injected_delay_ns": 5,
+    "seed": 18446744073709551615,
+    "delay_subset_fraction": 0.25
+  },
+  "timestamp": "2024-05-17T12:30:45.123456+00:00",
+  "environment": {
+    "os": "Linux-6.1-x86_64",
+    "cpu": "x86_64",
+    "python": "3.11.9",
+    "clock_resolution_ns": "41"
+  },
+  "vm_runs": [
+    {
+      "vm_index": 0,
+      "warmup_ns": [
+        812345,
+        799001
+      ],
+      "measurement_ns": [
+        7612003,
+        7598220,
+        7640118
+      ]
+    },
+    {
+      "vm_index": 1,
+      "warmup_ns": [
+        805512,
+        0
+      ],
+      "measurement_ns": [
+        7702941,
+        9007199254740993,
+        7655003
+      ]
+    },
+    {
+      "vm_index": 2,
+      "warmup_ns": [
+        790001,
+        788877
+      ],
+      "measurement_ns": [
+        7581230,
+        7590011,
+        7577777
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_series_with_parallel_pairs_still_decodes():
+    assert deserialize_series(GOLDEN_SERIES_WITH_PARALLEL_PAIRS) == golden_series()
+
+
 measurement_configs = st.builds(
     MeasurementConfig,
     vms=st.integers(min_value=1, max_value=10**6),
@@ -210,7 +281,6 @@ measurement_configs = st.builds(
     measurement_iterations=st.integers(min_value=1, max_value=10**6),
     repetitions=st.integers(min_value=1, max_value=10**9),
     trigger_gc_between_iterations=st.booleans(),
-    parallel_pairs=st.booleans(),
 )
 
 workload_specs = st.builds(

@@ -99,14 +99,6 @@ def test_feasibility_boundary_is_inclusive():
     assert report.feasible
 
 
-def test_feasibility_parallel_pairs_halves_time():
-    serial = feasibility(0.5, 0.01, 0.01, seconds_per_vm=97, budget_seconds=43_200)
-    parallel = feasibility(
-        0.5, 0.01, 0.01, seconds_per_vm=97, budget_seconds=43_200, parallel_pairs=True
-    )
-    assert parallel.total_seconds == pytest.approx(serial.total_seconds / 2)
-
-
 def test_power_curve_table():
     rows = power_curve([1.0, 0.5], range(2, 60), 0.01)
     by_gamma = {}
