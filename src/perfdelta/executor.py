@@ -146,7 +146,3 @@ def main() -> int:
         return 1
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

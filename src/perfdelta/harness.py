@@ -101,16 +101,14 @@ def _finish(
     return run, resolution
 
 
-def _environment_metadata(clock_resolution_ns: int | None) -> dict[str, str]:
-    env = {
+def _environment_metadata(clock_resolution_ns: int) -> dict[str, str]:
+    return {
         "os": platform.platform(),
         "cpu": platform.processor() or platform.machine(),
         "python": platform.python_version(),
         "executor_flags": " ".join(_EXECUTOR_FLAGS),
+        "clock_resolution_ns": str(clock_resolution_ns),
     }
-    if clock_resolution_ns is not None:
-        env["clock_resolution_ns"] = str(clock_resolution_ns)
-    return env
 
 
 def _launch(config: MeasurementConfig, members, clock) -> dict:

@@ -35,8 +35,8 @@ def type_ii_error(gamma: float, vms: int, alpha: float) -> float:
         raise ValueError(f"vms must be >= 2, got {vms}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z_beta = gamma * math.sqrt(vms / 2.0) - normal_quantile(1.0 - alpha / 2.0)
-    return min(1.0, max(0.0, 1.0 - normal_cdf(z_beta)))
+    # 1 - Phi(x) is taken as Phi(-x), which keeps the digits of a far tail.
+    return normal_cdf(-normal_quantile(alpha / 2.0) - gamma * math.sqrt(vms / 2.0))
 
 
 def required_vms(gamma: float, alpha: float, beta: float) -> int:
@@ -51,7 +51,7 @@ def required_vms(gamma: float, alpha: float, beta: float) -> int:
         raise ValueError("a zero effect size is unreachable with any finite VM count")
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise ValueError("alpha and beta must be in (0, 1)")
-    z = (normal_quantile(1.0 - beta) + normal_quantile(1.0 - alpha / 2.0)) / gamma
+    z = (-normal_quantile(beta) - normal_quantile(alpha / 2.0)) / gamma
     candidate = max(2, math.ceil(2.0 * z * z) - 2)
     vms = candidate
     while type_ii_error(gamma, vms, alpha) > beta:

@@ -6,10 +6,12 @@ makes a VM's value, for ``compare`` and the tuner alike: :func:`per_vm_means`
 over a range of a :func:`window_matrix` row.  Three
 tests are offered: Welch's t-test, Mann-Whitney U and confidence-interval
 overlap with Student-t intervals.  Mann-Whitney counts a tie as half a pair;
-its p-values are exact for small tie-free samples, from counts of rank sums,
-and otherwise a tie-corrected normal approximation with continuity
-correction.  Student-t tails are regularized incomplete beta functions by
-Lentz's continued fraction, and t quantiles are Newton steps on them.
+its p-values are exact for small tie-free samples, from a numpy table of
+rank-sum counts filled rank by rank, and otherwise a tie-corrected normal
+approximation with continuity correction, whose tail is taken by erfc so that
+small p-values keep their digits.  Student-t tails are regularized incomplete
+beta functions by Lentz's continued fraction, and t quantiles are Newton steps
+on them.
 
 ``decide`` has one kernel for every shape: samples run along the last axis,
 so a batch of R sample pairs, such as the resampling trials of one tuner grid
@@ -245,20 +247,28 @@ def summarize(series: MeasurementSeries) -> SeriesSummary:
 # --- Mann-Whitney ----------------------------------------------------------
 
 
+def _u_counts(n1: int, n2: int) -> np.ndarray:
+    """counts[u] = number of tie-free rankings with U = u, for u in 0..n1 * n2:
+    the size-n1 subsets of ranks 1..n1+n2 whose rank sum is u + n1(n1+1)/2.
+    Row m of the table counts the size-m subsets of the ranks added so far, by
+    sum; each rank adds row m - 1, shifted by the rank, into row m."""
+    if n1 + n2 > 66:  # C(66, 33) < 2**63, so int64 counts cannot wrap up to here
+        raise StatsError(f"exact Mann-Whitney counts need n1 + n2 <= 66, got {n1 + n2}")
+    counts = np.zeros((n1 + 1, n1 * n2 + n1 * (n1 + 1) // 2 + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for rank in range(1, n1 + n2 + 1):
+        counts[1:, rank:] += counts[:-1, :-rank]  # numpy reads the right side whole first
+    return counts[n1, n1 * (n1 + 1) // 2:]
+
+
 @lru_cache(maxsize=None)
-def _rank_sum_counts(n1: int, n2: int) -> tuple[int, ...]:
-    """counts[s] = number of size-n1 subsets of ranks {1..n1+n2} with rank sum s."""
-    total = n1 + n2
-    max_sum = sum(range(total - n1 + 1, total + 1))
-    counts = [[0] * (max_sum + 1) for _ in range(n1 + 1)]
-    counts[0][0] = 1
-    for rank in range(1, total + 1):
-        for m in range(min(rank, n1), 0, -1):
-            row, prev = counts[m], counts[m - 1]
-            for s in range(max_sum, rank - 1, -1):
-                if prev[s - rank]:
-                    row[s] += prev[s - rank]
-    return tuple(counts[n1])
+def _tie_free_p(n1: int, n2: int) -> np.ndarray:
+    """Exact two-sided p-values of tie-free pairs, indexed by u_max in
+    0..n1 * n2: min(1, 2 * P(U >= u_max)) under the null."""
+    count_ge = np.cumsum(_u_counts(n1, n2)[::-1])[::-1]
+    table = np.minimum(1.0, 2.0 * count_ge / float(comb(n1 + n2, n1)))
+    table.flags.writeable = False
+    return table
 
 
 def mann_whitney_exact_p(u_max: float, n1: int, n2: int) -> float:
@@ -266,30 +276,19 @@ def mann_whitney_exact_p(u_max: float, n1: int, n2: int) -> float:
 
     ``u_max`` must be the larger of the two U statistics of a tie-free pair.
     """
-    counts = _rank_sum_counts(n1, n2)
-    offset = n1 * (n1 + 1) // 2
-    count_ge = sum(c for s, c in enumerate(counts) if s - offset >= u_max)
-    return min(1.0, 2.0 * count_ge / comb(n1 + n2, n1))
+    u = max(0, math.ceil(u_max))  # U is an integer
+    return float(_tie_free_p(n1, n2)[u]) if u <= n1 * n2 else 0.0
 
 
 def mann_whitney_approx_p(u_max, n1: int, n2: int, tie_term=0.0) -> np.ndarray:
     """Normal approximation with continuity correction, elementwise; the
     variance is corrected by ``tie_term``, the sum of t³ - t over the sizes t
-    of the tie groups."""
+    of the tie groups.  2 * P(Z > z) is taken as erfc(z / √2), which keeps
+    the digits of a far tail that 1 - P(Z <= z) would cancel."""
     n = n1 + n2
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     z = (u_max - n1 * n2 / 2.0 - 0.5) / np.sqrt(variance)
-    p = 2.0 * (1.0 - 0.5 * _erfc(-z / math.sqrt(2.0)))
-    return np.where(variance > 0, np.clip(p, 0.0, 1.0), 1.0)
-
-
-@lru_cache(maxsize=None)
-def _tie_free_p(n1: int, n2: int) -> np.ndarray:
-    """Exact p-values of tie-free pairs by u_max, from (n1 * n2 + 1) // 2 to n1 * n2."""
-    table = np.array([mann_whitney_exact_p(u, n1, n2)
-                      for u in range((n1 * n2 + 1) // 2, n1 * n2 + 1)])
-    table.flags.writeable = False
-    return table
+    return np.where(variance > 0, np.minimum(_erfc(z / math.sqrt(2.0)), 1.0), 1.0)
 
 
 def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +311,7 @@ def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndar
     if n1 + n2 > EXACT_MANN_WHITNEY_LIMIT:
         return u_min, mann_whitney_approx_p(u_max, n1, n2, tie_term)
     free, p = tie_term == 0, np.empty_like(u_max)
-    p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp) - (n1 * n2 + 1) // 2]
+    p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp)]
     p[~free] = mann_whitney_approx_p(u_max[~free], n1, n2, tie_term[~free])
     return u_min, p
 

@@ -6,7 +6,8 @@ recurrences, arbitrary-precision arithmetic instead of floats,
 incomplete-beta tail probabilities instead of library survival functions, and
 one 1-D decision per resampling trial instead of one batch per grid cell.
 The whole-batch Student-t tail kernel that the compacting one replaced is
-kept verbatim, as the bit-for-bit reference for it.
+kept verbatim, as the bit-for-bit reference for it, and so is the pure-Python
+rank-sum recurrence that the numpy count table replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
@@ -47,6 +49,38 @@ def mann_whitney_exact_bruteforce(x, y) -> float:
         if u >= u_max:
             count_ge += 1
     return min(1.0, 2.0 * count_ge / comb(total, n1))
+
+
+# --- reference exact Mann-Whitney table ---------------------------------------
+# ``stats`` as it was before its exact table became one numpy count table:
+# rank-sum counts by a pure-Python recurrence, summed again on every call.
+
+
+@lru_cache(maxsize=None)
+def _rank_sum_counts(n1: int, n2: int) -> tuple[int, ...]:
+    """counts[s] = number of size-n1 subsets of ranks {1..n1+n2} with rank sum s."""
+    total = n1 + n2
+    max_sum = sum(range(total - n1 + 1, total + 1))
+    counts = [[0] * (max_sum + 1) for _ in range(n1 + 1)]
+    counts[0][0] = 1
+    for rank in range(1, total + 1):
+        for m in range(min(rank, n1), 0, -1):
+            row, prev = counts[m], counts[m - 1]
+            for s in range(max_sum, rank - 1, -1):
+                if prev[s - rank]:
+                    row[s] += prev[s - rank]
+    return tuple(counts[n1])
+
+
+def mann_whitney_exact_p_by_rank_sums(u_max: float, n1: int, n2: int) -> float:
+    """Two-sided exact p-value: min(1, 2 * P(U >= u_max)) under the null.
+
+    ``u_max`` must be the larger of the two U statistics of a tie-free pair.
+    """
+    counts = _rank_sum_counts(n1, n2)
+    offset = n1 * (n1 + 1) // 2
+    count_ge = sum(c for s, c in enumerate(counts) if s - offset >= u_max)
+    return min(1.0, 2.0 * count_ge / comb(n1 + n2, n1))
 
 
 def midranks_by_counting(values):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from perfdelta.power import (
     feasibility,
     power_curve,
@@ -80,6 +81,22 @@ def test_closed_form_matches_formula_directly():
     z = normal_quantile(1 - alpha / 2)
     expected = 1 - 0.5 * math.erfc(-(gamma * math.sqrt(vms / 2) - z) / math.sqrt(2))
     assert type_ii_error(gamma, vms, alpha) == pytest.approx(expected, abs=1e-12)
+
+
+def test_far_tail_keeps_its_digits():
+    """beta down to 1e-63 agrees with mpmath, where 1 - Phi(x) would give 0.0."""
+    for gamma in (1.0, 2.0, 5.0):
+        for vms in (10, 30, 50):
+            for alpha in (0.01, 0.05):
+                z = oracles.normal_quantile_highprecision(1 - alpha / 2)
+                x = z - gamma * math.sqrt(vms / 2)
+                assert type_ii_error(gamma, vms, alpha) == pytest.approx(
+                    oracles.normal_cdf_highprecision(x), rel=1e-12, abs=0)
+
+
+def test_required_vms_reaches_a_tiny_beta():
+    vms = required_vms(1.0, 0.01, 1e-20)
+    assert type_ii_error(1.0, vms, 0.01) <= 1e-20 < type_ii_error(1.0, vms - 1, 0.01)
 
 
 def test_feasibility_examples():

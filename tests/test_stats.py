@@ -18,6 +18,8 @@ from perfdelta.stats import (
     StatsError,
     _log_beta,
     _t_sf,
+    _tie_free_p,
+    _u_counts,
     decide,
     mann_whitney_approx_p,
     mann_whitney_exact_p,
@@ -262,6 +264,49 @@ def test_exact_matches_bruteforce_oracle():
         got = decide(old, new, MW).p_value
         want = oracles.mann_whitney_exact_bruteforce(old, new)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_tie_free_table_matches_the_rank_sum_recurrence_bit_for_bit():
+    """The numpy count table holds the counts, and its p-values the very
+    floats, of the pure-Python recurrence, for every n1, n2 <= 20.  The
+    counts agree at 30 x 30 and at 33 x 33 too, the largest equal sizes
+    whose counts int64 holds exactly."""
+    for n1 in range(1, 21):
+        for n2 in range(1, 21):
+            offset = n1 * (n1 + 1) // 2
+            assert _u_counts(n1, n2).tolist() == list(oracles._rank_sum_counts(n1, n2)[offset:])
+            assert _tie_free_p(n1, n2).tolist() == [
+                oracles.mann_whitney_exact_p_by_rank_sums(u, n1, n2) for u in range(n1 * n2 + 1)]
+    for n in (30, 33):
+        assert _u_counts(n, n).tolist() == list(oracles._rank_sum_counts(n, n)[n * (n + 1) // 2:])
+
+
+def test_exact_p_looks_up_every_u_max_as_the_recurrence_did():
+    """A non-integer u_max rounds up, one below the midpoint gives 1.0, and
+    one outside 0..n1 * n2 is not wrapped round the table."""
+    for n1, n2 in ((1, 1), (2, 5), (4, 4), (6, 7), (3, 11), (7, 7)):
+        top = n1 * n2
+        for u_max in np.arange(-2.0, top + 2.5, 0.5).tolist():
+            got = mann_whitney_exact_p(u_max, n1, n2)
+            assert got == oracles.mann_whitney_exact_p_by_rank_sums(u_max, n1, n2)
+            assert got == mann_whitney_exact_p(math.ceil(u_max), n1, n2)
+            if u_max < top / 2:
+                assert got == 1.0
+        assert mann_whitney_exact_p(-1, n1, n2) == 1.0
+        assert mann_whitney_exact_p(top + 1, n1, n2) == 0.0
+    with pytest.raises(StatsError, match="n1 \\+ n2 <= 66"):
+        mann_whitney_exact_p(600, 34, 33)  # int64 counts could wrap
+
+
+def test_mann_whitney_far_tail_keeps_its_digits():
+    """Fully separated pairs of n = 30..100 VMs a side, p from 3e-11 down to
+    3e-34: 2 * (1 - Phi(z)) would cancel to 2.2e-16 at n = 45 and 46 and to
+    0.0 from n = 47."""
+    for n in range(30, 101):
+        old = np.arange(n, dtype=float)
+        new = old + 1000.0
+        want = oracles.mann_whitney_approx_p_highprecision(old.tolist(), new.tolist())
+        assert decide(old, new, MW).p_value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_welch_matches_incomplete_beta_oracle():
