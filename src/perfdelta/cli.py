@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .model import (
@@ -24,6 +25,7 @@ from .model import (
     WorkloadSpec,
     deserialize_series,
     serialize_series,
+    to_csv,
     to_document,
 )
 from .stats import decide, summarize
@@ -47,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *flags, **kwargs):
         default = kwargs.get("default")
-        if default is not None and default is not False and default is not argparse.SUPPRESS:
+        if default is not None and default is not argparse.SUPPRESS:
             kwargs["help"] = f"{kwargs.get('help', '')} [default: %(default)s]".lstrip()
         return super().add_argument(*flags, **kwargs)
 
@@ -83,10 +85,10 @@ def _synthetic(value: str) -> float:
     return float(value[len("gamma="):])
 
 
-def _config(args, **extra) -> MeasurementConfig:
+def _config(args) -> MeasurementConfig:
     return MeasurementConfig(vms=args.vms, warmup_iterations=args.warmup,
                              measurement_iterations=args.iterations,
-                             repetitions=args.repetitions, **extra)
+                             repetitions=args.repetitions)
 
 
 def _decision(args) -> DecisionConfig:
@@ -106,7 +108,7 @@ def _measure(args) -> None:
     """Run one measurement campaign and write the series file."""
     from .harness import run_campaign
 
-    config = _config(args, trigger_gc_between_iterations=args.trigger_gc)
+    config = _config(args)
     workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size,
                             injected_delay_ns=args.delta_ns, seed=args.seed)
     series = run_campaign(config, workload)
@@ -158,7 +160,7 @@ def _curve(args) -> None:
     if args.vms_min > args.vms_max:
         raise ValueError(f"--vms-min {args.vms_min} exceeds --vms-max {args.vms_max}")
     rows = power.power_curve(args.gammas, range(args.vms_min, args.vms_max + 1), args.alpha)
-    _emit(power.power_curve_csv(rows), args.out_path)
+    _emit(to_csv(("gamma", "vms", "alpha", "beta"), rows), args.out_path)
 
 
 def _tune(args) -> None:
@@ -183,9 +185,11 @@ def _tune(args) -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = tuner.tune(plan, out_dir=out)
-    for kind, grid in report.per_workload_grids.items():
-        (out / f"heatmap_{kind}.csv").write_text(tuner.grid_to_csv(grid))
-    (out / "heatmap_average.csv").write_text(tuner.grid_to_csv(report.average_grid))
+    columns = [f.name for f in fields(tuner.GridCell)]
+    grids = {**report.per_workload_grids, "average": report.average_grid}
+    for name, grid in grids.items():
+        rows = (astuple(cell) for cell in grid.cells)
+        (out / f"heatmap_{name}.csv").write_text(to_csv(columns, rows))
     (out / "report.json").write_text(json.dumps(tuner.report_to_document(report), indent=2) + "\n")
     print(f"wall_time_seconds={report.wall_time_seconds:.3f}", file=sys.stderr)
     if report.selection.feasible:
@@ -202,7 +206,7 @@ def _stddev_sweep(args) -> None:
 
     if args.vms < 2:
         raise ValueError("summaries need at least 2 VMs for a defined stddev")
-    lines = ["kind,size,mean_ns,stddev_ns,relative_stddev"]
+    rows = []
     config = _config(args)
     for size in args.sizes:
         workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=size, seed=args.seed)
@@ -212,9 +216,10 @@ def _stddev_sweep(args) -> None:
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"sweep_{args.kind}_{size}.json").write_bytes(serialize_series(series))
         summary = summarize(series)
-        lines.append(f"{args.kind},{size},{summary.mean_ns!r},{summary.stddev_ns!r},"
-                     f"{summary.relative_stddev!r}")
-    _emit("\n".join(lines) + "\n", args.out_path)
+        rows.append((args.kind, size, summary.mean_ns, summary.stddev_ns,
+                     summary.relative_stddev))
+    columns = ("kind", "size", "mean_ns", "stddev_ns", "relative_stddev")
+    _emit(to_csv(columns, rows), args.out_path)
 
 
 def _inject(args) -> None:
@@ -264,8 +269,6 @@ def _parser() -> _Parser:
     p = command(commands, "measure", _measure)
     _campaign_options(p)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--gc", dest="trigger_gc", action="store_true",
-                   help="Collect the heap between iterations.")
     p.add_argument("--delta-ns", type=int, default=0)
     p.add_argument("--out", dest="out_path", type=_out, required=True)
 

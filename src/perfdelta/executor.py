@@ -5,9 +5,12 @@ standard input: ``{"config": ..., "workload": ..., "clock": ...}``, the
 first two a :class:`MeasurementConfig` and a :class:`WorkloadSpec` in the
 layout of :func:`~perfdelta.model.to_document`, read back with
 :func:`~perfdelta.model.from_document`.
-The child replies with one JSON result line on standard output.  Exit code 0
-means success; on failure a structured JSON error is written to standard
-error and the exit code is nonzero.
+The child replies with one JSON result line on standard output, holding
+exactly ``warmup_ns``, ``measurement_ns`` and ``executions_at_start``.  Exit
+code 0 means success; on failure a structured JSON error is written to
+standard error and the exit code is nonzero.  The child never probes its
+clock's resolution: the parent does that once per campaign and records it as
+``clock_resolution_ns`` in the series' environment.
 
 The harness starts each child with :func:`perfdelta.harness.executor_command`:
 an interpreter in isolated mode without ``site`` (``-I -S``), whose bootstrap
@@ -56,9 +59,9 @@ class MonotonicClock:
 class FakeClock:
     """Deterministic counter advancing a fixed step per read."""
 
-    def __init__(self, step_ns: int, start_ns: int = 0):
+    def __init__(self, step_ns: int):
         self.step_ns = step_ns
-        self._now = start_ns
+        self._now = 0
 
     def read(self) -> int:
         value = self._now
@@ -84,8 +87,7 @@ def execute_job(job: dict, clock=None) -> dict:
     """Run warmup and measurement iterations as described by ``job``.
 
     Each iteration brackets exactly ``repetitions`` workload executions
-    between two clock reads; the sink is drained (and the heap optionally
-    collected) outside the timed window.
+    between two clock reads; the sink is drained outside the timed window.
     """
     global _EXECUTED_CAMPAIGNS
     executions_at_start = _EXECUTED_CAMPAIGNS
@@ -101,7 +103,6 @@ def execute_job(job: dict, clock=None) -> dict:
 
     if clock is None:
         clock = clock_from_spec(job.get("clock"))
-    resolution_ns = clock.resolution_ns()
 
     instance = create_instance(spec)
 
@@ -125,13 +126,10 @@ def execute_job(job: dict, clock=None) -> dict:
                 raise ClockError(f"clock went backwards: start={start}, end={end}")
             bucket.append(end - start)
             instance.drain()
-            if config.trigger_gc_between_iterations:
-                gc.collect()
 
     return {
         "warmup_ns": warmup_ns,
         "measurement_ns": measurement_ns,
-        "clock_resolution_ns": resolution_ns,
         "executions_at_start": executions_at_start,
     }
 

@@ -18,7 +18,7 @@ import subprocess
 import sys
 
 from . import workloads
-from .executor import FakeClock
+from .executor import FakeClock, MonotonicClock
 from .model import CampaignError, MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
 from .model import from_document, to_document, utc_now
 
@@ -79,10 +79,8 @@ def _spawn(job: dict) -> subprocess.Popen:
     return proc
 
 
-def _finish(
-    proc: subprocess.Popen, vm_index: int, version: str | None = None
-) -> tuple[VmRun, int]:
-    """Wait for an executor and turn its result into a run and its clock resolution."""
+def _finish(proc: subprocess.Popen, vm_index: int, version: str | None = None) -> VmRun:
+    """Wait for an executor and turn its result line into a run."""
     out, err = proc.communicate()
     if proc.returncode != 0:
         raise CampaignError(vm_index, err.strip() or f"exit code {proc.returncode}", version)
@@ -92,22 +90,23 @@ def _finish(
     try:
         result = from_document(dict, json.loads(lines[-1]))
         run = from_document(VmRun, {**result, "vm_index": vm_index})
-        resolution = from_document(int, result.get("clock_resolution_ns"), "clock_resolution_ns")
         executions = from_document(int, result.get("executions_at_start"), "executions_at_start")
     except ValueError as exc:
         raise CampaignError(vm_index, f"bad result line: {exc}", version) from exc
     if executions != 0:
         raise CampaignError(vm_index, f"executor was not fresh (counter={executions})", version)
-    return run, resolution
+    return run
 
 
-def _environment_metadata(clock_resolution_ns: int) -> dict[str, str]:
+def _environment_metadata(clock) -> dict[str, str]:
+    """Describe the host and the campaign's clock, whose resolution is probed
+    here in the parent, once per campaign."""
     return {
         "os": platform.platform(),
         "cpu": platform.processor() or platform.machine(),
         "python": platform.python_version(),
         "executor_flags": " ".join(_EXECUTOR_FLAGS),
-        "clock_resolution_ns": str(clock_resolution_ns),
+        "clock_resolution_ns": str((clock or MonotonicClock()).resolution_ns()),
     }
 
 
@@ -121,20 +120,18 @@ def _launch(config: MeasurementConfig, members, clock) -> dict:
     """
     runs: dict[str | None, list[VmRun]] = {}
     specs: dict[str | None, WorkloadSpec] = {}
-    resolution = None
     for version, vm_index, workload in members:
         proc = _spawn(_build_job(config, workload, clock))
         try:
-            run, run_resolution = _finish(proc, vm_index, version)
+            run = _finish(proc, vm_index, version)
         except BaseException:
             if proc.returncode is None:
                 proc.kill()
                 proc.communicate()
             raise
-        resolution = run_resolution if resolution is None else resolution
         runs.setdefault(version, []).append(run)
         specs[version] = workload
-    environment = _environment_metadata(resolution)
+    environment = _environment_metadata(clock)
     timestamp = utc_now()
     return {
         version: MeasurementSeries(

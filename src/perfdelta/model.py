@@ -9,6 +9,7 @@ concurrent readers.
 Every document perfdelta writes is encoded by :func:`to_document` and every
 one it reads is decoded by its inverse, :func:`from_document`, which walks
 the same dataclass fields and names the offending field on any mismatch.
+Every CSV table it writes is encoded by :func:`to_csv`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class MeasurementConfig:
     warmup_iterations: int
     measurement_iterations: int
     repetitions: int
-    trigger_gc_between_iterations: bool = False
 
     def __post_init__(self) -> None:
         _require(self.vms >= 1, "config.vms", "must be >= 1")
@@ -227,6 +227,15 @@ def to_document(value: Any) -> Any:
     if isinstance(value, datetime):
         return value.isoformat()
     return value
+
+
+def to_csv(header, rows) -> str:
+    """A CSV table: the ``header`` names, then one line per row of values.
+
+    Each value is written with ``str``: an int in digits, a float (also a
+    numpy one) in the shortest digits that read back to it.
+    """
+    return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
 
 
 def serialize_series(series: MeasurementSeries) -> bytes:

@@ -97,9 +97,3 @@ def power_curve(gammas, vms_range, alpha: float) -> list[tuple[float, int, float
         for gamma in gammas
         for vms in vms_range
     ]
-
-
-def power_curve_csv(rows) -> str:
-    lines = ["gamma,vms,alpha,beta"]
-    lines += [f"{g!r},{v},{a!r},{b!r}" for g, v, a, b in rows]
-    return "\n".join(lines) + "\n"

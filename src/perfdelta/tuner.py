@@ -363,7 +363,7 @@ def _average_grids(grids: list[F1Grid]) -> F1Grid:
     return F1Grid(cells=tuple(cells))
 
 
-def tune(plan: TunerPlan, clock=None, out_dir=None) -> TunerReport:
+def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
     """Record (or synthesize) pools, estimate the full grid, select the best cell."""
     started = time.perf_counter()
     per_workload: dict[str, F1Grid] = {}
@@ -380,7 +380,7 @@ def tune(plan: TunerPlan, clock=None, out_dir=None) -> TunerReport:
                 for repetitions in plan.repetitions_grid
             }
         else:
-            pools = record_pool(plan, kind, clock=clock, out_dir=out_dir)
+            pools = record_pool(plan, kind, out_dir=out_dir)
         per_workload[kind.value] = _estimate_grid(pools, plan)
 
     average = _average_grids(list(per_workload.values()))
@@ -392,15 +392,6 @@ def tune(plan: TunerPlan, clock=None, out_dir=None) -> TunerReport:
         selection=selection,
         wall_time_seconds=time.perf_counter() - started,
     )
-
-
-def grid_to_csv(grid: F1Grid) -> str:
-    lines = ["vms,iterations,repetitions,f1,tp,fp,fn,tn"]
-    lines += [
-        f"{c.vms},{c.iterations},{c.repetitions},{c.f1!r},{c.tp},{c.fp},{c.fn},{c.tn}"
-        for c in grid.cells
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def report_to_document(report: TunerReport) -> dict:

@@ -324,18 +324,21 @@ INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
      "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1"],
     ["power", "--gamma", "0.5", "--vms", "30", "--parallel"],
     [*INJECT, "--parallel"],
+    ["measure", "--workload", "add", "--size", "10", *ONE_VM, "--gc"],
 ], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
         "inject-subset-fraction", "sweep-vms", "tune-vm-grid", "tune-empty-vm-grid",
         "sweep-empty-sizes", "curve-empty-gammas", "curve-empty-vms-range", "power-no-gamma",
         "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
         "bad-choice", "power-nan-gamma", "power-inf-gamma", "power-inf-gamma-beta",
-        "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel"])
+        "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel",
+        "measure-gc"])
 def test_invalid_values_exit_with_validation_code(tmp_path, args):
-    if args[0] in ("inject", "tune"):
+    if args[0] in ("inject", "tune", "measure"):
         args = [*args, "--out", str(tmp_path / "out")]
     result = invoke(args)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
     assert "Traceback" not in result.output
 
 

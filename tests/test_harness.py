@@ -50,6 +50,29 @@ def test_campaign_records_clock_resolution():
     assert series.environment["clock_resolution_ns"] == "1000"
 
 
+class ProbeCountingClock(FakeClock):
+    """Counts the resolution probes made on it."""
+
+    def __init__(self):
+        super().__init__(step_ns=1000)
+        self.probes = 0
+
+    def resolution_ns(self) -> int:
+        self.probes += 1
+        return super().resolution_ns()
+
+
+@pytest.mark.parametrize("vms", [1, 3])
+@pytest.mark.parametrize("paired", [False, True], ids=["campaign", "paired"])
+def test_parent_probes_the_clock_once_per_campaign(vms, paired):
+    clock = ProbeCountingClock()
+    if paired:
+        run_paired_campaign(small_config(vms=vms), add_spec(), add_spec(), clock=clock)
+    else:
+        run_campaign(small_config(vms=vms), add_spec(), clock=clock)
+    assert clock.probes == 1
+
+
 def test_campaign_output_serializes_byte_stable():
     series = run_campaign(small_config(), add_spec(), clock=FAKE)
     data = serialize_series(series)
@@ -104,8 +127,7 @@ def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
 @pytest.mark.parametrize("line", [
     '{"executions_at_start": 0}',
     "[1]",
-    '{"warmup_ns": [1, 1, 1], "measurement_ns": [1.5, 1, 1], '
-    '"clock_resolution_ns": 1, "executions_at_start": 0}',
+    '{"warmup_ns": [1, 1, 1], "measurement_ns": [1.5, 1, 1], "executions_at_start": 0}',
 ], ids=["missing-field", "non-object", "float-duration"])
 def test_malformed_result_line_is_an_executor_failure(monkeypatch, line):
     reply_with(monkeypatch, line)
@@ -174,7 +196,6 @@ def test_execute_job_shapes_and_durations():
     result = execute_job(make_job())
     assert result["warmup_ns"] == [500, 500]
     assert result["measurement_ns"] == [500, 500, 500]
-    assert result["clock_resolution_ns"] == 500
 
 
 def test_in_process_reexecution_is_detectable():
@@ -229,6 +250,7 @@ def test_executor_subprocess_round_trip():
     proc = run_executor(make_job())
     assert proc.returncode == 0
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(result) == {"warmup_ns", "measurement_ns", "executions_at_start"}
     assert result["executions_at_start"] == 0
     assert result["measurement_ns"] == [500, 500, 500]
 

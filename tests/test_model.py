@@ -1,7 +1,9 @@
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from perfdelta.model import (
     deserialize_series,
     from_document,
     serialize_series,
+    to_csv,
     to_document,
 )
 from perfdelta.stats import per_vm_means, window_matrix
@@ -135,7 +138,6 @@ def random_series(draw):
             warmup_iterations=warmup,
             measurement_iterations=iterations,
             repetitions=repetitions,
-            trigger_gc_between_iterations=draw(st.booleans()),
         ),
         workload=WorkloadSpec(
             kind=draw(st.sampled_from(list(WorkloadKind))),
@@ -170,7 +172,6 @@ def golden_series() -> MeasurementSeries:
             warmup_iterations=2,
             measurement_iterations=3,
             repetitions=1000,
-            trigger_gc_between_iterations=True,
         ),
         workload=WorkloadSpec(
             kind=WorkloadKind.WRITE,
@@ -201,9 +202,10 @@ def test_golden_series_file_reproduced_byte_for_byte():
     assert serialize_series(deserialize_series(data)) == data
 
 
-# golden_series_v1.json as written while configs still held "parallel_pairs",
-# a field the decoder now ignores like any other extra key.
-GOLDEN_SERIES_WITH_PARALLEL_PAIRS = b"""\
+# golden_series_v1.json as written while configs still held
+# "trigger_gc_between_iterations" and "parallel_pairs", two retired fields the
+# decoder now ignores like any other extra key.
+GOLDEN_SERIES_WITH_GC_AND_PARALLEL_PAIRS = b"""\
 {
   "format_version": "1",
   "config": {
@@ -270,8 +272,8 @@ GOLDEN_SERIES_WITH_PARALLEL_PAIRS = b"""\
 """
 
 
-def test_series_with_parallel_pairs_still_decodes():
-    assert deserialize_series(GOLDEN_SERIES_WITH_PARALLEL_PAIRS) == golden_series()
+def test_series_with_gc_and_parallel_pairs_still_decodes():
+    assert deserialize_series(GOLDEN_SERIES_WITH_GC_AND_PARALLEL_PAIRS) == golden_series()
 
 
 measurement_configs = st.builds(
@@ -280,7 +282,6 @@ measurement_configs = st.builds(
     warmup_iterations=st.integers(min_value=0, max_value=10**6),
     measurement_iterations=st.integers(min_value=1, max_value=10**6),
     repetitions=st.integers(min_value=1, max_value=10**9),
-    trigger_gc_between_iterations=st.booleans(),
 )
 
 workload_specs = st.builds(
@@ -340,3 +341,17 @@ def test_integer_beyond_float_range_is_a_schema_error():
     with pytest.raises(SchemaError) as excinfo:
         deserialize_series(json.dumps(doc))
     assert excinfo.value.path == "workload.delay_subset_fraction"
+
+
+# --- CSV ---------------------------------------------------------------------
+
+
+def test_csv_writes_each_value_with_str():
+    rows = [("add", 1, 0.1, np.float64(0.1)), ("write", 2**53 + 1, 1e-20, math.nextafter(1, 2))]
+    text = to_csv(("kind", "size", "a", "b"), rows)
+    assert text.splitlines() == [
+        "kind,size,a,b", "add,1,0.1,0.1", "write,9007199254740993,1e-20,1.0000000000000002",
+    ]
+    assert text.endswith("\n")
+    for line, row in zip(text.splitlines()[1:], rows):
+        assert [float(v) for v in line.split(",")[2:]] == list(row[2:])

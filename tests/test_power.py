@@ -4,10 +4,10 @@ import random
 import pytest
 
 import oracles
+from perfdelta.model import to_csv
 from perfdelta.power import (
     feasibility,
     power_curve,
-    power_curve_csv,
     required_vms,
     type_ii_error,
 )
@@ -135,7 +135,7 @@ def test_power_curve_table():
 
 
 def test_power_curve_csv_shape():
-    text = power_curve_csv(power_curve([1.0], range(2, 5), 0.01))
+    text = to_csv(("gamma", "vms", "alpha", "beta"), power_curve([1.0], range(2, 5), 0.01))
     lines = text.strip().splitlines()
     assert lines[0] == "gamma,vms,alpha,beta"
     assert len(lines) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ import oracles
 from conftest import make_series
 from perfdelta import tuner
 from perfdelta.executor import FakeClock
-from perfdelta.model import DecisionConfig, StatTest, WorkloadKind
+from perfdelta.model import DecisionConfig, StatTest, WorkloadKind, to_csv
 from perfdelta.power import type_ii_error
 from perfdelta.stats import per_vm_means, summarize, window_matrix
 from perfdelta.tuner import (
@@ -19,7 +20,6 @@ from perfdelta.tuner import (
     GridCell,
     TunerPlan,
     estimate_f1,
-    grid_to_csv,
     make_synthetic_pool,
     pool_from_series,
     record_pool,
@@ -372,8 +372,12 @@ def test_tune_grid_dimensions_and_csv():
     expected = len(plan.vm_grid) * len(plan.iteration_grid) * len(plan.repetitions_grid)
     assert len(report.average_grid.cells) == expected
     assert set(report.per_workload_grids) == {"add"}
-    csv_lines = grid_to_csv(report.average_grid).strip().splitlines()
+    columns = [f.name for f in dataclasses.fields(GridCell)]
+    rows = [dataclasses.astuple(c) for c in report.average_grid.cells]
+    csv_lines = to_csv(columns, rows).strip().splitlines()
+    assert csv_lines[0] == "vms,iterations,repetitions,f1,tp,fp,fn,tn"
     assert len(csv_lines) == expected + 1
+    assert [float(line.split(",")[3]) for line in csv_lines[1:]] == [r[3] for r in rows]
 
 
 def test_tune_deterministic_documents():
