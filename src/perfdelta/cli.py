@@ -203,20 +203,25 @@ def _tune(args) -> None:
 def _stddev_sweep(args) -> None:
     """Measure each size and emit kind,size,mean,stddev,relative-stddev CSV."""
     from .harness import run_campaign
+    from .workloads import check_memory_budget
 
     if args.vms < 2:
         raise ValueError("summaries need at least 2 VMs for a defined stddev")
     rows = []
     config = _config(args)
-    for size in args.sizes:
-        workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=size, seed=args.seed)
+    sweep = [WorkloadSpec(kind=WorkloadKind(args.kind), size=size, seed=args.seed)
+             for size in args.sizes]
+    for workload in sweep:  # refuse an over-budget size before the first campaign
+        check_memory_budget(workload, config.repetitions)
+    for workload in sweep:
         series = run_campaign(config, workload)
         if args.series_dir is not None:
             directory = Path(args.series_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"sweep_{args.kind}_{size}.json").write_bytes(serialize_series(series))
+            name = f"sweep_{args.kind}_{workload.size}.json"
+            (directory / name).write_bytes(serialize_series(series))
         summary = summarize(series)
-        rows.append((args.kind, size, summary.mean_ns, summary.stddev_ns,
+        rows.append((args.kind, workload.size, summary.mean_ns, summary.stddev_ns,
                      summary.relative_stddev))
     columns = ("kind", "size", "mean_ns", "stddev_ns", "relative_stddev")
     _emit(to_csv(columns, rows), args.out_path)
@@ -226,10 +231,10 @@ def _inject(args) -> None:
     """Inject a busy-wait regression repeatedly and report the detection rate."""
     from .injection import run_injection_study
 
-    config = _config(args)
-    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size, seed=args.seed)
-    report = run_injection_study(workload, args.delta_ns, config, _decision(args), args.trials,
-                                 seed=args.seed, subset_fraction=args.subset_fraction)
+    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size,
+                            injected_delay_ns=args.delta_ns, seed=args.seed,
+                            delay_subset_fraction=args.subset_fraction)
+    report = run_injection_study(workload, _config(args), _decision(args), args.trials)
     Path(args.out_path).write_text(json.dumps(to_document(report), indent=2) + "\n")
     print(f"detection_rate={report.detection_rate!r} detections={report.detections} "
           f"trials={report.trials} erroneous={report.erroneous}")

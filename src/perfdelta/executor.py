@@ -15,10 +15,11 @@ clock's resolution: the parent does that once per campaign and records it as
 The harness starts each child with :func:`perfdelta.harness.executor_command`:
 an interpreter in isolated mode without ``site`` (``-I -S``), whose bootstrap
 puts the parent's import path ahead of its own and calls :func:`main`.  No
-``PYTHON*`` environment variable reaches the child; others, such as
-``PERFDELTA_MEM_BUDGET_BYTES``, do.  The child imports only the model and the
-workloads: numpy loads when a workload builds its random generator, so an
-``allocate`` child never loads it.
+``PYTHON*`` environment variable reaches the child.  The child imports only
+the model and the workloads: numpy loads when a workload builds its random
+generator, so an ``allocate`` child never loads it.  The child runs the job
+it is given: the parent has already checked its workload against the memory
+budget.
 
 The clock is injected through :func:`clock_from_spec`, so tests and jobs can
 substitute a deterministic counter for the monotonic hardware clock.
@@ -31,7 +32,6 @@ import json
 import sys
 import time
 
-from . import workloads
 from .model import MeasurementConfig, WorkloadSpec, from_document
 from .workloads import create_instance
 
@@ -95,11 +95,6 @@ def execute_job(job: dict, clock=None) -> dict:
 
     config = from_document(MeasurementConfig, job.get("config"), "config")
     spec = from_document(WorkloadSpec, job.get("workload"), "workload")
-    workloads.check_memory_budget(
-        spec,
-        iterations=config.warmup_iterations + config.measurement_iterations,
-        repetitions=config.repetitions,
-    )
 
     if clock is None:
         clock = clock_from_spec(job.get("clock"))

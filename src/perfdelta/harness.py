@@ -7,6 +7,9 @@ and runs one executor at a time, so each VM start is timed alone; a paired
 campaign alternates the old and the new version's starts.  Every launch
 goes through ``_launch``: when a child fails, its result is bad or the wait
 is interrupted, the child is killed and reaped before the error propagates.
+Before the first start, ``_launch`` checks each distinct workload against
+the memory budget of :func:`~perfdelta.workloads.check_memory_budget`; the
+children never check it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def executor_command() -> list[str]:
     the child's path, and ``-S`` skips ``site`` with every ``.pth`` import,
     so the bootstrap hands over perfdelta's root and this process's
     non-empty ``sys.path`` entries instead.  Environment variables outside
-    ``PYTHON*``, such as ``PERFDELTA_MEM_BUDGET_BYTES``, still reach the child.
+    ``PYTHON*`` still reach the child.
     """
     path = [_PACKAGE_ROOT, *(entry for entry in sys.path if entry)]
     bootstrap = (
@@ -114,10 +117,13 @@ def _launch(config: MeasurementConfig, members, clock) -> dict:
     """Run executor starts in order and assemble one series per version.
 
     ``members`` lists ``(version, vm_index, workload)`` starts; each is
-    spawned and finished before the next one starts.  On any failure or
-    interrupt while waiting, the child is killed and reaped, unless it has
-    already exited, before the exception propagates.
+    spawned and finished before the next one starts, once every distinct
+    workload has passed the memory budget.  On any failure or interrupt while
+    waiting, the child is killed and reaped, unless it has already exited,
+    before the exception propagates.
     """
+    for workload in dict.fromkeys(workload for _, _, workload in members):
+        workloads.check_memory_budget(workload, config.repetitions)
     runs: dict[str | None, list[VmRun]] = {}
     specs: dict[str | None, WorkloadSpec] = {}
     for version, vm_index, workload in members:
@@ -145,19 +151,10 @@ def _launch(config: MeasurementConfig, members, clock) -> dict:
     }
 
 
-def _check_memory_budget(config: MeasurementConfig, workload: WorkloadSpec) -> None:
-    workloads.check_memory_budget(
-        workload,
-        iterations=config.warmup_iterations + config.measurement_iterations,
-        repetitions=config.repetitions,
-    )
-
-
 def run_campaign(
     config: MeasurementConfig, workload: WorkloadSpec, clock=None
 ) -> MeasurementSeries:
     """Run ``config.vms`` sequential executor starts and assemble the series."""
-    _check_memory_budget(config, workload)
     members = [(None, vm_index, workload) for vm_index in range(config.vms)]
     return _launch(config, members, clock)[None]
 
@@ -171,8 +168,6 @@ def run_paired_campaign(
     """Measure two versions with aligned VM indices, alternating old and new starts."""
     if workload_old.kind is not workload_new.kind:
         raise ValueError("paired campaigns require both workloads to share a kind")
-    for workload in (workload_old, workload_new):
-        _check_memory_budget(config, workload)
     members = [
         member
         for i in range(config.vms)

@@ -1,22 +1,23 @@
 """Busy-wait regression injection studies at desk scale.
 
-An injection study repeatedly measures a base workload against the same
-workload with a busy-wait delay charged to each (or a fraction of its)
-primitive operations, then reports how often the change detector fires.  The
-injected variant runs the base loop followed by one busy-wait per timed call
-(see :class:`~perfdelta.model.WorkloadSpec`).  Studies with a zero delay
-estimate the false-positive rate.
+An injection study is given the injected workload itself: a
+:class:`~perfdelta.model.WorkloadSpec` whose ``injected_delay_ns`` is charged
+to ``round(size * delay_subset_fraction)`` of its primitive operations (one
+busy-wait per timed call), and whose ``seed`` starts the trial-seed stream.
+Each trial measures that spec, on its trial seed, against its base, the same
+kind and size with no delay, then the study reports how often the change
+detector fires.  Studies with a zero delay estimate the false-positive rate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .harness import CampaignError, run_paired_campaign
 from .model import DecisionConfig, MeasurementConfig, WorkloadSpec
 from .stats import decide, summarize
-from .workloads import _GOLDEN, SplitMix64, busy_wait_ns
+from .workloads import SplitMix64, busy_wait_ns
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,6 @@ class TrialOutcome:
 @dataclass(frozen=True)
 class StudyReport:
     workload: WorkloadSpec
-    delta_ns: int
-    subset_fraction: float
     config: MeasurementConfig
     decision: DecisionConfig
     trials: int
@@ -63,35 +62,23 @@ def measure_busywait_quantum() -> int:
     return best if best is not None else 1
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    """Output number ``trial`` (from 0) of ``SplitMix64(seed)``.
-
-    Output k is the first output of a generator whose state starts k
-    increments further along, so no earlier output is generated.
-    """
-    return SplitMix64(seed + trial * _GOLDEN).next_u64()
-
-
 def run_injection_study(
     workload: WorkloadSpec,
-    delta_ns: int,
     config: MeasurementConfig,
     decision: DecisionConfig,
     trials: int,
-    seed: int = 0,
-    subset_fraction: float = 1.0,
     clock=None,
 ) -> StudyReport:
     """Run ``trials`` paired base-vs-injected campaigns and count detections.
 
-    The injected variant differs from the base only in the busy-wait delta
-    (same kind, size and per-trial seed).  Erroneous trials are counted
-    separately and never enter the detection rate.
+    ``workload`` is the injected variant.  Trial k runs it on seed ``s_k``,
+    output k (from 0) of ``SplitMix64(workload.seed)``, against the base
+    ``WorkloadSpec(kind, size, seed=s_k)``, so the two differ only in the
+    busy-wait delay.  Erroneous trials are counted separately and never
+    enter the detection rate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if delta_ns < 0:
-        raise ValueError("delta_ns must be >= 0")
     if config.vms < 2:
         raise ValueError("vms must be >= 2: each trial summarizes per-VM means")
 
@@ -100,17 +87,12 @@ def run_injection_study(
     outcomes: list[TrialOutcome] = []
     effect_sizes: list[float] = []
     relative_stddevs: list[float] = []
+    trial_seeds = SplitMix64(workload.seed)
 
     for trial in range(trials):
-        trial_seed = _trial_seed(seed, trial)
+        trial_seed = trial_seeds.next_u64()
         base_spec = WorkloadSpec(kind=workload.kind, size=workload.size, seed=trial_seed)
-        injected_spec = WorkloadSpec(
-            kind=workload.kind,
-            size=workload.size,
-            injected_delay_ns=delta_ns,
-            seed=trial_seed,
-            delay_subset_fraction=subset_fraction,
-        )
+        injected_spec = replace(workload, seed=trial_seed)
         try:
             base, injected = run_paired_campaign(config, base_spec, injected_spec, clock=clock)
             summary_base = summarize(base)
@@ -134,8 +116,6 @@ def run_injection_study(
     completed = trials - erroneous
     return StudyReport(
         workload=workload,
-        delta_ns=delta_ns,
-        subset_fraction=subset_fraction,
         config=config,
         decision=decision,
         trials=trials,

@@ -31,6 +31,7 @@ from .model import (
     to_document,
 )
 from .stats import decide, per_vm_means, window_matrix
+from .workloads import check_memory_budget
 
 #: Resampling noise at 10,000 rounds is ~±0.005 F1; the monotonicity rule
 #: tolerates dips up to this much.
@@ -179,6 +180,14 @@ def pool_vms(plan: TunerPlan) -> int:
     return max(plan.max_vms, 2 * max(plan.vm_grid))
 
 
+def _pool_specs(plan: TunerPlan, kind: WorkloadKind) -> tuple[WorkloadSpec, WorkloadSpec]:
+    """The base and changed workloads a pool of ``kind`` records."""
+    base = WorkloadSpec(kind=kind, size=plan.size_s, seed=plan.seed)
+    changed = WorkloadSpec(kind=kind, size=plan.size_s + plan.delta_ops,
+                           injected_delay_ns=plan.delta_ns, seed=plan.seed)
+    return base, changed
+
+
 def record_pool(
     plan: TunerPlan,
     kind: WorkloadKind,
@@ -196,13 +205,7 @@ def record_pool(
     from .model import serialize_series
 
     max_i = max(plan.iteration_grid)
-    base_spec = WorkloadSpec(kind=kind, size=plan.size_s, seed=plan.seed)
-    changed_spec = WorkloadSpec(
-        kind=kind,
-        size=plan.size_s + plan.delta_ops,
-        injected_delay_ns=plan.delta_ns,
-        seed=plan.seed,
-    )
+    base_spec, changed_spec = _pool_specs(plan, kind)
     pools: dict[int, MeasurementPool] = {}
     for repetitions in plan.repetitions_grid:
         config = MeasurementConfig(
@@ -366,6 +369,12 @@ def _average_grids(grids: list[F1Grid]) -> F1Grid:
 def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
     """Record (or synthesize) pools, estimate the full grid, select the best cell."""
     started = time.perf_counter()
+    if plan.synthetic_gamma is None:
+        # Refuse an over-budget pool before the first one is recorded; a
+        # window's retention grows with repetitions, so the largest decides.
+        for kind in plan.workload_kinds:
+            for spec in _pool_specs(plan, kind):
+                check_memory_budget(spec, max(plan.repetitions_grid))
     per_workload: dict[str, F1Grid] = {}
     for kind in plan.workload_kinds:
         if plan.synthetic_gamma is not None:

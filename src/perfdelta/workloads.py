@@ -3,6 +3,9 @@
 Each workload performs exactly ``spec.size`` primitive operations per
 execution and feeds its accumulated state through an opaque consumption
 point when drained, so the work cannot be elided by an optimizer.
+``allocate`` retains its records until the drain after each window;
+:func:`check_memory_budget` bounds what one window retains, and the harness
+applies it in the parent before any child starts.
 
 Randomness comes from a SplitMix64 generator so streams are reproducible
 across implementations.  The exact recurrence (all arithmetic mod 2**64):
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 import time
 
 from .model import WorkloadKind, WorkloadSpec
@@ -27,8 +31,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: Assumed footprint of one allocated record (three machine integers).
-RECORD_BYTES = 24
+#: Bytes one allocated record retains: the ``[0, 0, 0]`` list the workload
+#: builds plus its 8-byte slot in the retaining list.  That is 96 B on
+#: CPython 3.11, where tracemalloc reads 95-97 B a record.
+RECORD_BYTES = sys.getsizeof([0, 0, 0]) + 8
 
 MEM_BUDGET_ENV_VAR = "PERFDELTA_MEM_BUDGET_BYTES"
 
@@ -220,23 +226,21 @@ def default_memory_budget() -> int:
 
 
 def check_memory_budget(
-    spec: WorkloadSpec,
-    iterations: int,
-    repetitions: int,
-    budget_bytes: int | None = None,
+    spec: WorkloadSpec, repetitions: int, budget_bytes: int | None = None
 ) -> None:
-    """Reject allocate campaigns whose retained records would exceed the budget.
+    """Reject an allocate workload whose one window would retain more than the budget.
 
-    The bound is size * iterations * repetitions records of RECORD_BYTES each.
+    A window retains ``spec.size * repetitions`` records of RECORD_BYTES each
+    until the drain after it, so the bound does not grow with iterations.
     """
     if spec.kind is not WorkloadKind.ALLOCATE:
         return
     if budget_bytes is None:
         budget_bytes = default_memory_budget()
-    needed = spec.size * iterations * repetitions * RECORD_BYTES
+    needed = spec.size * repetitions * RECORD_BYTES
     if needed > budget_bytes:
         raise MemoryBudgetError(
-            f"allocate workload needs ~{needed} bytes "
-            f"(size={spec.size} x iterations={iterations} x repetitions={repetitions} "
-            f"x {RECORD_BYTES} B/record) but the budget is {budget_bytes} bytes"
+            f"allocate workload needs ~{needed} bytes a window "
+            f"(size={spec.size} x repetitions={repetitions} x {RECORD_BYTES} B/record) "
+            f"but the budget is {budget_bytes} bytes"
         )

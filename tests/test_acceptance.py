@@ -6,6 +6,7 @@ a full run shows the per-criterion status lines regardless of verbosity.
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,8 +257,12 @@ def test_criterion_8_desk_scale_substitution(verdict, tmp_path, capsys):
         repetitions=100_000,
     )
     workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300)
-    null_report = run_injection_study(workload, 0, config, MW, trials=100, seed=8)
-    changed_report = run_injection_study(workload, 500, config, MW, trials=100, seed=9)
+    null_report = run_injection_study(
+        replace(workload, injected_delay_ns=0, seed=8), config, MW, trials=100
+    )
+    changed_report = run_injection_study(
+        replace(workload, injected_delay_ns=500, seed=9), config, MW, trials=100
+    )
     gamma_ok = abs(changed_report.mean_effect_size or 0.0) >= 3
     part_a = (
         null_report.detections <= 5

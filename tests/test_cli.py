@@ -229,6 +229,19 @@ def test_tune_rejects_malformed_synthetic(tmp_path):
     assert result.exit_code == 2
 
 
+def test_tune_refuses_an_over_budget_pool_before_recording_any(tmp_path, monkeypatch):
+    launches = record_launches(monkeypatch)
+    out = tmp_path / "tune"
+    result = invoke([
+        "tune", "--workload", "allocate", "--repetitions-grid", "1000,100000000",
+        "--out", str(out),
+    ], env={"PERFDELTA_MEM_BUDGET_BYTES": "1000000000"})
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: allocate workload needs")
+    assert launches == []
+    assert not list(out.glob("pool_*"))
+
+
 # --- stddev-sweep ----------------------------------------------------------
 
 
@@ -273,6 +286,19 @@ def test_stddev_sweep_allocate_budget(tmp_path):
     assert result.exit_code == 2
 
 
+def test_stddev_sweep_refuses_an_over_budget_size_before_any_campaign(tmp_path, monkeypatch):
+    launches = record_launches(monkeypatch)
+    series_dir = tmp_path / "series"
+    result = invoke([
+        "stddev-sweep", "--workload", "allocate", "--sizes", "10,10000000",
+        "--series-dir", str(series_dir),
+    ], env={"PERFDELTA_MEM_BUDGET_BYTES": "1000000000"})
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: allocate workload needs")
+    assert launches == []
+    assert not list(series_dir.glob("sweep_*"))
+
+
 # --- inject ----------------------------------------------------------------
 
 
@@ -286,6 +312,7 @@ def test_inject_writes_study_report(tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["trials"] == 2
+    assert doc["workload"]["injected_delay_ns"] == 5
     assert len(doc["outcomes"]) == 2
     assert "detection_rate=" in result.output
 
@@ -435,9 +462,9 @@ def documents(tmp_path_factory):
     ("report", ["selection"], ["feasible", "reason", "config", "cell"]),
     ("report", ["selection", "cell"], ["vms", "iterations", "repetitions", "f1", "tp", "fp",
                                        "fn", "tn"]),
-    ("study", [], ["workload", "delta_ns", "subset_fraction", "config", "decision", "trials",
-                   "detections", "erroneous", "detection_rate", "mean_effect_size",
-                   "mean_relative_stddev", "busywait_quantum_ns", "outcomes"]),
+    ("study", [], ["workload", "config", "decision", "trials", "detections", "erroneous",
+                   "detection_rate", "mean_effect_size", "mean_relative_stddev",
+                   "busywait_quantum_ns", "outcomes"]),
     ("study", ["outcomes", 0], ["trial", "changed", "p_value", "effect_size", "error"]),
 ], ids=["verdict", "report", "report.plan", "report.selection", "report.selection.cell",
         "study", "study.outcomes[0]"])

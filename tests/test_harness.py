@@ -18,6 +18,7 @@ from perfdelta.model import (
     to_document,
 )
 from perfdelta.stats import per_vm_means, window_matrix
+from perfdelta.workloads import MemoryBudgetError
 
 FAKE = FakeClock(step_ns=1000)
 
@@ -319,8 +320,22 @@ def test_child_ignores_the_callers_pythonpath(monkeypatch, tmp_path, kind):
     assert series.environment["executor_flags"] == "-I -S"
 
 
-def test_child_reads_the_memory_budget_variable(monkeypatch):
-    monkeypatch.setattr(harness, "_check_memory_budget", lambda config, workload: None)
-    monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "1")
-    with pytest.raises(CampaignError, match="MemoryBudgetError"):
-        run_campaign(small_config(), KIND_SPECS["allocate"], clock=FAKE)
+def test_budget_charges_one_window_not_every_iteration(monkeypatch):
+    # A window of 10 x 10 records holds ~9.6 kB, under the budget however
+    # many windows a VM runs.
+    monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "100000")
+    config = MeasurementConfig(vms=2, warmup_iterations=49, measurement_iterations=49,
+                               repetitions=10)
+    allocate = WorkloadSpec(kind=WorkloadKind.ALLOCATE, size=10)
+    series = run_campaign(config, allocate, clock=FAKE)
+    assert [len(run.measurement_ns) for run in series.vm_runs] == [49, 49]
+
+
+def test_over_budget_new_version_starts_no_vm(monkeypatch):
+    launches = record_launches(monkeypatch)
+    monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "100000")
+    old = WorkloadSpec(kind=WorkloadKind.ALLOCATE, size=10)
+    new = WorkloadSpec(kind=WorkloadKind.ALLOCATE, size=1000)
+    with pytest.raises(MemoryBudgetError, match="size=1000"):
+        run_paired_campaign(small_config(), old, new, clock=FAKE)
+    assert launches == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,11 @@ WELCH = DecisionConfig(test=StatTest.WELCH_T, alpha=0.01)
 
 TINY = MeasurementConfig(vms=2, warmup_iterations=2, measurement_iterations=2, repetitions=2)
 ADD = WorkloadSpec(kind=WorkloadKind.ADD, size=4)
+ADD_5NS = replace(ADD, injected_delay_ns=5)
 
 
 def test_study_structural_outcome_count():
-    report = run_injection_study(ADD, 5, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
+    report = run_injection_study(ADD_5NS, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
     assert report.trials == 3
     assert len(report.outcomes) == 3
     assert [o.trial for o in report.outcomes] == [0, 1, 2]
@@ -37,11 +40,12 @@ def test_study_structural_outcome_count():
 
 
 def test_study_config_equality_between_variants():
-    report = run_injection_study(ADD, 50, TINY, MW, trials=1, clock=FakeClock(step_ns=1000))
-    assert report.delta_ns == 50
+    injected = replace(ADD, injected_delay_ns=50, delay_subset_fraction=0.5)
+    report = run_injection_study(injected, TINY, MW, trials=1, clock=FakeClock(step_ns=1000))
+    assert report.workload == injected
     assert report.config == TINY
     doc = to_document(report)
-    assert doc["workload"]["size"] == ADD.size
+    assert doc["workload"] == to_document(injected)
     assert doc["config"]["vms"] == 2
     assert len(doc["outcomes"]) == 1
 
@@ -57,7 +61,7 @@ def test_erroneous_trials_counted_separately(monkeypatch):
         return real(config, old, new, clock=clock)
 
     monkeypatch.setattr(injection, "run_paired_campaign", flaky)
-    report = run_injection_study(ADD, 0, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
+    report = run_injection_study(ADD, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
     assert report.erroneous == 1
     assert report.trials == 3
     failed = report.outcomes[1]
@@ -67,17 +71,32 @@ def test_erroneous_trials_counted_separately(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1])
-def test_trial_seed_is_output_number_trial_of_the_stream(seed):
+def test_trial_seed_is_output_number_trial_of_the_stream(monkeypatch, seed):
+    # Trial k hands the campaign its base and its injected spec, both on
+    # output k of SplitMix64(seed), differing only in the injected delay.
+    handed = []
+
+    def record(config, old, new, clock=None):
+        handed.append((old, new))
+        raise CampaignError(0, "not run", "old")
+
+    monkeypatch.setattr(injection, "run_paired_campaign", record)
+    injected = WorkloadSpec(kind=WorkloadKind.WRITE, size=7, injected_delay_ns=5, seed=seed,
+                            delay_subset_fraction=0.5)
+    report = run_injection_study(injected, TINY, MW, trials=4)
+    assert report.erroneous == 4
     stream = SplitMix64(seed)
-    for trial in range(301):
-        assert injection._trial_seed(seed, trial) == stream.next_u64()
+    assert len(handed) == 4
+    for base, new in handed:
+        trial_seed = stream.next_u64()
+        assert base == WorkloadSpec(kind=WorkloadKind.WRITE, size=7, seed=trial_seed)
+        assert new == replace(injected, seed=trial_seed)
+        assert replace(new, injected_delay_ns=0, delay_subset_fraction=1.0) == base
 
 
 def test_trial_validation():
     with pytest.raises(ValueError):
-        run_injection_study(ADD, 5, TINY, MW, trials=0)
-    with pytest.raises(ValueError):
-        run_injection_study(ADD, -1, TINY, MW, trials=1)
+        run_injection_study(ADD_5NS, TINY, MW, trials=0)
 
 
 def test_one_vm_rejected_before_any_campaign(monkeypatch):
@@ -86,7 +105,7 @@ def test_one_vm_rejected_before_any_campaign(monkeypatch):
     one_vm = MeasurementConfig(vms=1, warmup_iterations=0, measurement_iterations=1,
                                repetitions=1)
     with pytest.raises(ValueError, match="vms must be >= 2"):
-        run_injection_study(ADD, 5, one_vm, MW, trials=3, clock=FakeClock(step_ns=1000))
+        run_injection_study(ADD_5NS, one_vm, MW, trials=3, clock=FakeClock(step_ns=1000))
     assert calls == []
 
 
@@ -120,13 +139,13 @@ REAL = MeasurementConfig(vms=10, warmup_iterations=5, measurement_iterations=5, 
 
 @hardware_gated
 def test_zero_delta_false_positive_rate():
-    workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300)
-    report = run_injection_study(workload, 0, REAL, MW, trials=30, seed=1)
+    workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300, seed=1)
+    report = run_injection_study(workload, REAL, MW, trials=30)
     assert report.detection_rate <= 0.05
 
 
 @hardware_gated
 def test_large_delta_detection_rate():
-    workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300)
-    report = run_injection_study(workload, 500, REAL, MW, trials=10, seed=2)
+    workload = WorkloadSpec(kind=WorkloadKind.ADD, size=300, injected_delay_ns=500, seed=2)
+    report = run_injection_study(workload, REAL, MW, trials=10)
     assert report.detection_rate >= 0.95

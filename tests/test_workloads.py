@@ -1,11 +1,13 @@
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
 from conftest import hardware_gated
 from perfdelta.model import WorkloadKind, WorkloadSpec
 from perfdelta.workloads import (
+    RECORD_BYTES,
     MemoryBudgetError,
     SplitMix64,
     busy_wait_ns,
@@ -124,23 +126,42 @@ def test_subset_fraction_bounds_delay_targets():
 def test_memory_budget_rejects_oversized_allocate():
     with pytest.raises(MemoryBudgetError):
         check_memory_budget(
-            spec(WorkloadKind.ALLOCATE, 10_000_000),
-            iterations=10,
-            repetitions=1000,
-            budget_bytes=10**9,
+            spec(WorkloadKind.ALLOCATE, 10_000_000), repetitions=1000, budget_bytes=10**9
         )
 
 
 def test_memory_budget_ignores_other_kinds():
-    check_memory_budget(
-        spec(WorkloadKind.ADD, 10_000_000), iterations=10, repetitions=1000, budget_bytes=1
-    )
+    for kind in (WorkloadKind.ADD, WorkloadKind.WRITE):
+        check_memory_budget(spec(kind, 10_000_000), repetitions=100_000, budget_bytes=1)
 
 
 def test_memory_budget_env_override(monkeypatch):
     monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "1000")
     with pytest.raises(MemoryBudgetError):
-        check_memory_budget(spec(WorkloadKind.ALLOCATE, 100), iterations=10, repetitions=10)
+        check_memory_budget(spec(WorkloadKind.ALLOCATE, 100), repetitions=10)
+
+
+def test_memory_budget_bounds_one_window():
+    # 300 x 20,000 records hold ~0.58 GB a window; 300 x 100,000 hold ~2.9 GB.
+    allocate = spec(WorkloadKind.ALLOCATE, 300)
+    check_memory_budget(allocate, repetitions=20_000, budget_bytes=700_000_000)
+    with pytest.raises(MemoryBudgetError, match="repetitions=100000"):
+        check_memory_budget(allocate, repetitions=100_000, budget_bytes=2_100_000_000)
+
+
+def test_record_bytes_is_what_an_allocate_window_retains():
+    # The traced peak of one window, records and the list retaining them,
+    # is its size x repetitions records at RECORD_BYTES each, within 5 %.
+    size, repetitions = 300, 1000
+    instance = create_instance(spec(WorkloadKind.ALLOCATE, size))
+    tracemalloc.start()
+    try:
+        instance.run_repetitions(repetitions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    instance.drain()
+    assert peak == pytest.approx(size * repetitions * RECORD_BYTES, rel=0.05)
 
 
 def _median_windows_ns(specs, repetitions, windows):
