@@ -142,15 +142,19 @@ def _power(args) -> None:
         raise ValueError("--seconds-per-vm and --budget are given together or not at all")
     if args.seconds_per_vm is not None and args.beta is None:
         raise ValueError("--seconds-per-vm and --budget check the VMs --beta requires")
+    durations = (args.seconds_per_vm, args.budget_seconds)
+    if args.seconds_per_vm is not None and not all(0 < d < float("inf") for d in durations):
+        raise ValueError("--seconds-per-vm and --budget must be positive and finite")
     if args.vms is not None:
         print(f"beta={power.type_ii_error(args.gamma, args.vms, args.alpha)!r}")
-    elif args.seconds_per_vm is None:
-        print(f"required_vms={power.required_vms(args.gamma, args.alpha, args.beta)}")
-    else:
-        report = power.feasibility(args.gamma, args.alpha, args.beta, args.seconds_per_vm,
-                                   args.budget_seconds)
-        print(f"required_vms={report.required_vms} total_seconds={report.total_seconds!r} "
-              f"feasible={str(report.feasible).lower()}")
+        return
+    vms = power.required_vms(args.gamma, args.alpha, args.beta)
+    if args.seconds_per_vm is None:
+        print(f"required_vms={vms}")
+    else:  # the budget boundary is inclusive
+        total = vms * args.seconds_per_vm
+        print(f"required_vms={vms} total_seconds={total!r} "
+              f"feasible={str(total <= args.budget_seconds).lower()}")
 
 
 def _curve(args) -> None:
@@ -183,8 +187,8 @@ def _tune(args) -> None:
         synthetic_gamma=args.synthetic,
     )
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = tuner.tune(plan, out_dir=out)
+    out.mkdir(parents=True, exist_ok=True)
     columns = [f.name for f in fields(tuner.GridCell)]
     grids = {**report.per_workload_grids, "average": report.average_grid}
     for name, grid in grids.items():

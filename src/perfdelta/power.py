@@ -5,36 +5,37 @@ version and population effect size ``gamma``, the Type II error is
 
     beta = 1 - Phi(gamma * sqrt(vms / 2) - z_{1 - alpha/2})
 
-This module evaluates that model, inverts it to required VM counts and
-checks measurement-budget feasibility.  Empirical power estimation lives in
-the tuner; everything here is closed-form.
+This module evaluates that model and inverts it to required VM counts.
+Empirical power estimation lives in the tuner; everything here is
+closed-form.  The model's domain is gamma finite and >= 0, alpha and beta in
+(0, 1), and VM counts in [2, 2^53): above 2^53, ``vms / 2.0`` no longer
+tells consecutive counts apart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .stats import normal_cdf, normal_quantile
 
+#: VM counts lie below this bound, where floats still hold every integer.
+VMS_LIMIT = 2**53
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    required_vms: int
-    seconds_per_vm: float
-    total_seconds: float
-    budget_seconds: float
-    feasible: bool
+
+def _check_domain(gamma: float, alpha: float, beta: float = 0.5, vms: int = 2) -> None:
+    """Raise ``ValueError`` outside the model's domain; the defaults lie inside it."""
+    if not 0.0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    for name, p in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {p}")
+    if not 2 <= vms < VMS_LIMIT:
+        raise ValueError(f"vms must lie in [2, 2^53), got {vms}")
 
 
 def type_ii_error(gamma: float, vms: int, alpha: float) -> float:
     """Probability of missing a true change of effect size ``gamma``."""
-    if not 0.0 <= gamma < math.inf:  # NaN fails too
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if vms < 2:
-        raise ValueError(f"vms must be >= 2, got {vms}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_domain(gamma, alpha, vms=vms)
     # 1 - Phi(x) is taken as Phi(-x), which keeps the digits of a far tail.
     return normal_cdf(-normal_quantile(alpha / 2.0) - gamma * math.sqrt(vms / 2.0))
 
@@ -42,49 +43,24 @@ def type_ii_error(gamma: float, vms: int, alpha: float) -> float:
 def required_vms(gamma: float, alpha: float, beta: float) -> int:
     """Smallest VM count whose Type II error does not exceed ``beta``.
 
-    Closed-form inversion, then adjusted by direct evaluation so the result
-    is the exact argmin.
+    The ceiling of the closed form 2((z_{1-alpha/2} + z_{1-beta}) / gamma)^2,
+    adjusted by direct evaluation so the result is the exact argmin.  A
+    closed form that is not finite or not below 2^53 is refused.
     """
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if gamma == 0:
-        raise ValueError("a zero effect size is unreachable with any finite VM count")
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-        raise ValueError("alpha and beta must be in (0, 1)")
-    z = (-normal_quantile(beta) - normal_quantile(alpha / 2.0)) / gamma
-    candidate = max(2, math.ceil(2.0 * z * z) - 2)
-    vms = candidate
+    _check_domain(gamma, alpha, beta)
+    # When z_{1-alpha/2} + z_{1-beta} <= 0, every VM count reaches beta.
+    z = max(0.0, -normal_quantile(beta) - normal_quantile(alpha / 2.0))
+    root = z / gamma if gamma else math.inf if z else 0.0
+    count = 2.0 * root * root
+    if not count < VMS_LIMIT:
+        raise ValueError(f"gamma={gamma} needs about {count:.3g} VMs per version at "
+                         f"alpha={alpha}, beta={beta}; VM counts must lie below 2^53")
+    vms = max(2, math.ceil(count))
     while type_ii_error(gamma, vms, alpha) > beta:
         vms += 1
     while vms > 2 and type_ii_error(gamma, vms - 1, alpha) <= beta:
         vms -= 1
     return vms
-
-
-def feasibility(
-    gamma: float,
-    alpha: float,
-    beta: float,
-    seconds_per_vm: float,
-    budget_seconds: float,
-) -> FeasibilityReport:
-    """Whether the VMs required for (gamma, alpha, beta) fit the time budget.
-
-    ``seconds_per_vm`` is the wall time of one VM index of a paired
-    campaign, its old and its new start together, so the total is
-    ``required_vms * seconds_per_vm``.  The budget boundary is inclusive.
-    """
-    if seconds_per_vm <= 0 or budget_seconds <= 0:
-        raise ValueError("durations must be positive")
-    vms = required_vms(gamma, alpha, beta)
-    total = vms * seconds_per_vm
-    return FeasibilityReport(
-        required_vms=vms,
-        seconds_per_vm=seconds_per_vm,
-        total_seconds=total,
-        budget_seconds=budget_seconds,
-        feasible=total <= budget_seconds,
-    )
 
 
 def power_curve(gammas, vms_range, alpha: float) -> list[tuple[float, int, float, float]]:

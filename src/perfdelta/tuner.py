@@ -367,30 +367,33 @@ def _average_grids(grids: list[F1Grid]) -> F1Grid:
 
 
 def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
-    """Record (or synthesize) pools, estimate the full grid, select the best cell."""
+    """Record (or synthesize) pools, estimate the full grid, select the best cell.
+
+    Synthetic pools do not depend on the workload kind, so one grid is
+    scored and every kind gets it.
+    """
     started = time.perf_counter()
-    if plan.synthetic_gamma is None:
+    if plan.synthetic_gamma is not None:
+        pools = {
+            repetitions: make_synthetic_pool(
+                gamma=plan.synthetic_gamma,
+                vms=pool_vms(plan),
+                depth=2 * max(plan.iteration_grid),
+                repetitions=repetitions,
+                seed=plan.seed,
+            )
+            for repetitions in plan.repetitions_grid
+        }
+        per_workload = dict.fromkeys((k.value for k in plan.workload_kinds),
+                                     _estimate_grid(pools, plan))
+    else:
         # Refuse an over-budget pool before the first one is recorded; a
         # window's retention grows with repetitions, so the largest decides.
         for kind in plan.workload_kinds:
             for spec in _pool_specs(plan, kind):
                 check_memory_budget(spec, max(plan.repetitions_grid))
-    per_workload: dict[str, F1Grid] = {}
-    for kind in plan.workload_kinds:
-        if plan.synthetic_gamma is not None:
-            pools = {
-                repetitions: make_synthetic_pool(
-                    gamma=plan.synthetic_gamma,
-                    vms=pool_vms(plan),
-                    depth=2 * max(plan.iteration_grid),
-                    repetitions=repetitions,
-                    seed=plan.seed,
-                )
-                for repetitions in plan.repetitions_grid
-            }
-        else:
-            pools = record_pool(plan, kind, out_dir=out_dir)
-        per_workload[kind.value] = _estimate_grid(pools, plan)
+        per_workload = {kind.value: _estimate_grid(record_pool(plan, kind, out_dir=out_dir), plan)
+                        for kind in plan.workload_kinds}
 
     average = _average_grids(list(per_workload.values()))
     selection = select_configuration(average)

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,35 @@ def test_power_feasibility_output():
     assert "feasible=true" in result.output
 
 
+BUDGET = ["power", "--alpha", "0.01", "--beta", "0.01"]
+
+
+def test_feasibility_examples():
+    for gamma, line in (("0.5", "required_vms=193 total_seconds=18721.0 feasible=true"),
+                        ("0.1", "required_vms=4807 total_seconds=466279.0 feasible=false")):
+        result = invoke([*BUDGET, "--gamma", gamma, "--seconds-per-vm", "97", "--budget", "43200"])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == line + "\n"
+
+
+def test_feasibility_boundary_is_inclusive():
+    result = invoke([*BUDGET, "--gamma", "0.5", "--seconds-per-vm", "10", "--budget", "1930"])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == "required_vms=193 total_seconds=1930.0 feasible=true\n"
+
+
+def test_power_refuses_a_tiny_gamma_without_hanging():
+    """The closed form for gamma 1e-12 is about 3e25 VMs, far above 2^53."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfdelta.cli", "power", "--gamma", "1e-12", "--beta", "0.1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: gamma=1e-12 needs about 2.98e+25 VMs")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_power_curve_csv(tmp_path):
     out = tmp_path / "curve.csv"
     result = invoke([
@@ -239,7 +270,7 @@ def test_tune_refuses_an_over_budget_pool_before_recording_any(tmp_path, monkeyp
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: allocate workload needs")
     assert launches == []
-    assert not list(out.glob("pool_*"))
+    assert not out.exists()
 
 
 # --- stddev-sweep ----------------------------------------------------------
@@ -352,13 +383,20 @@ INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
     ["power", "--gamma", "0.5", "--vms", "30", "--parallel"],
     [*INJECT, "--parallel"],
     ["measure", "--workload", "add", "--size", "10", *ONE_VM, "--gc"],
+    ["power", "--gamma", "1e-160", "--beta", "0.1"],
+    ["power", "--gamma", "1", "--vms", "1" + "0" * 400],
+    *([*BUDGET, "--gamma", "0.5", flag, value, other, "1"]
+      for flag, other in (("--seconds-per-vm", "--budget"), ("--budget", "--seconds-per-vm"))
+      for value in ("nan", "inf", "0", "-1")),
 ], ids=["curve-alpha", "curve-vms-min", "curve-gammas", "inject-trials", "inject-delta-ns",
         "inject-subset-fraction", "sweep-vms", "tune-vm-grid", "tune-empty-vm-grid",
         "sweep-empty-sizes", "curve-empty-gammas", "curve-empty-vms-range", "power-no-gamma",
         "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
         "bad-choice", "power-nan-gamma", "power-inf-gamma", "power-inf-gamma-beta",
         "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel",
-        "measure-gc"])
+        "measure-gc", "power-tiny-gamma", "power-huge-vms",
+        *(f"power-{flag}-{value}" for flag in ("seconds-per-vm", "budget")
+          for value in ("nan", "inf", "0", "-1"))])
 def test_invalid_values_exit_with_validation_code(tmp_path, args):
     if args[0] in ("inject", "tune", "measure"):
         args = [*args, "--out", str(tmp_path / "out")]

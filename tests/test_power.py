@@ -6,7 +6,7 @@ import pytest
 import oracles
 from perfdelta.model import to_csv
 from perfdelta.power import (
-    feasibility,
+    VMS_LIMIT,
     power_curve,
     required_vms,
     type_ii_error,
@@ -37,6 +37,27 @@ def test_domain_violations():
         type_ii_error(1.0, 30, 1.0)
     with pytest.raises(ValueError):
         required_vms(0.0, 0.01, 0.01)
+    with pytest.raises(ValueError):
+        type_ii_error(1.0, VMS_LIMIT, 0.01)
+    with pytest.raises(ValueError):
+        type_ii_error(1.0, 10**400, 0.01)
+    with pytest.raises(ValueError):
+        required_vms(1.0, 0.01, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-12, 1e-160, 5e-8])
+def test_required_vms_refuses_counts_floats_cannot_tell_apart(gamma):
+    """A closed form at or above 2^53 is refused with its approximate count."""
+    with pytest.raises(ValueError, match=r"needs about \S+ VMs per version"):
+        required_vms(gamma, 0.01, 0.1)
+    assert required_vms(6e-8, 0.01, 0.1) < VMS_LIMIT
+
+
+def test_any_count_reaches_a_beta_above_the_zero_effect_error():
+    """At alpha 0.5 the Type II error never exceeds 0.75, so beta 0.9 needs
+    the fewest VMs however small gamma is."""
+    for gamma in (0.0, 1e-9, 1.0):
+        assert required_vms(gamma, 0.5, 0.9) == 2
 
 
 def test_inversion_anchors():
@@ -64,6 +85,33 @@ def test_inversion_agrees_with_direct_search():
         while type_ii_error(gamma, direct, alpha) > beta:
             direct += 1
         assert v == direct, (gamma, alpha, beta)
+
+
+def _bisected_vms(gamma, alpha, beta):
+    """Smallest n in [2, 2^53) with a Type II error <= beta, by bisection on
+    the error, which does not increase with n."""
+    if type_ii_error(gamma, 2, alpha) <= beta:
+        return 2
+    low, high = 2, VMS_LIMIT - 1  # error(low) > beta >= error(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if type_ii_error(gamma, mid, alpha) <= beta else (mid, high)
+    return high
+
+
+def test_required_vms_matches_bisection_oracle():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(200):
+        gamma = math.exp(rng.uniform(math.log(1e-7), math.log(3.0)))
+        alpha = rng.uniform(0.001, 0.2)
+        beta = rng.uniform(0.001, 0.5)
+        z = (normal_quantile(1 - alpha / 2) + normal_quantile(1 - beta)) / gamma
+        if 2 * z * z < 2**52:
+            assert required_vms(gamma, alpha, beta) == _bisected_vms(gamma, alpha, beta), (
+                gamma, alpha, beta)
+            checked += 1
+    assert checked > 150
 
 
 def test_monotonicity():
@@ -97,23 +145,6 @@ def test_far_tail_keeps_its_digits():
 def test_required_vms_reaches_a_tiny_beta():
     vms = required_vms(1.0, 0.01, 1e-20)
     assert type_ii_error(1.0, vms, 0.01) <= 1e-20 < type_ii_error(1.0, vms - 1, 0.01)
-
-
-def test_feasibility_examples():
-    report = feasibility(0.5, 0.01, 0.01, seconds_per_vm=97, budget_seconds=43_200)
-    assert report.required_vms == 193
-    assert report.total_seconds == pytest.approx(18_721)
-    assert report.feasible
-
-    report = feasibility(0.1, 0.01, 0.01, seconds_per_vm=97, budget_seconds=43_200)
-    assert not report.feasible
-    assert report.total_seconds == pytest.approx(466_000, rel=0.01)
-
-
-def test_feasibility_boundary_is_inclusive():
-    report = feasibility(0.5, 0.01, 0.01, seconds_per_vm=10, budget_seconds=1930)
-    assert report.total_seconds == pytest.approx(1930)
-    assert report.feasible
 
 
 def test_power_curve_table():

@@ -402,3 +402,22 @@ def test_average_grid_combines_workloads():
     parts = [g.cells[0] for g in report.per_workload_grids.values()]
     assert first_avg.f1 == pytest.approx(np.mean([p.f1 for p in parts]))
     assert first_avg.tp == sum(p.tp for p in parts)
+
+
+def test_synthetic_plan_scores_one_grid_for_every_kind(monkeypatch):
+    """Synthetic pools ignore the workload kind, so a second kind adds no
+    ``estimate_f1`` call and gets the first kind's grid."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return estimate_f1(*args, **kwargs)
+
+    monkeypatch.setattr(tuner, "estimate_f1", counting)
+    one = tune(small_plan())
+    one_calls = len(calls)
+    calls.clear()
+    two = tune(small_plan(workload_kinds=(WorkloadKind.ADD, WorkloadKind.WRITE)))
+    assert len(calls) == one_calls == 4
+    assert two.per_workload_grids["write"] == two.per_workload_grids["add"]
+    assert two.per_workload_grids["add"] == one.per_workload_grids["add"]
