@@ -72,10 +72,14 @@ def _list(kind: type):
 
 
 def _out(value: str, directory: bool = False) -> str:
-    """An output path that is not an existing file of the other kind, so no
-    campaign runs only to fail on writing its result."""
-    if Path(value).exists() and Path(value).is_dir() != directory:
+    """An output path that is not an existing file of the other kind, and a
+    file whose directory exists, so no campaign runs only to fail on writing
+    its result.  A directory output is created with its parents."""
+    path = Path(value)
+    if path.exists() and path.is_dir() != directory:
         raise argparse.ArgumentTypeError(f"{value!r} is {'not ' if directory else ''}a directory")
+    if not directory and not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} is not in an existing directory")
     return value
 
 
@@ -241,7 +245,7 @@ def _inject(args) -> None:
     report = run_injection_study(workload, _config(args), _decision(args), args.trials)
     Path(args.out_path).write_text(json.dumps(to_document(report), indent=2) + "\n")
     print(f"detection_rate={report.detection_rate!r} detections={report.detections} "
-          f"trials={report.trials} erroneous={report.erroneous}")
+          f"trials={report.trials}")
 
 
 def _emit(text: str, out_path: str | None) -> None:

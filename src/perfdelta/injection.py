@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .harness import CampaignError, run_paired_campaign
+from .harness import run_paired_campaign
 from .model import DecisionConfig, MeasurementConfig, WorkloadSpec
 from .stats import decide, summarize
 from .workloads import SplitMix64, busy_wait_ns
@@ -23,10 +23,9 @@ from .workloads import SplitMix64, busy_wait_ns
 @dataclass(frozen=True)
 class TrialOutcome:
     trial: int
-    changed: bool | None
+    changed: bool
     p_value: float | None
-    effect_size: float | None
-    error: str | None = None
+    effect_size: float
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,9 @@ class StudyReport:
     decision: DecisionConfig
     trials: int
     detections: int
-    erroneous: int
     detection_rate: float
-    mean_effect_size: float | None
-    mean_relative_stddev: float | None
+    mean_effect_size: float
+    mean_relative_stddev: float
     busywait_quantum_ns: int
     outcomes: tuple[TrialOutcome, ...] = field(default_factory=tuple)
 
@@ -74,18 +72,15 @@ def run_injection_study(
     ``workload`` is the injected variant.  Trial k runs it on seed ``s_k``,
     output k (from 0) of ``SplitMix64(workload.seed)``, against the base
     ``WorkloadSpec(kind, size, seed=s_k)``, so the two differ only in the
-    busy-wait delay.  Erroneous trials are counted separately and never
-    enter the detection rate.
+    busy-wait delay.  A failed VM start ends the study: its executor error
+    propagates, and no trial is skipped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if config.vms < 2:
         raise ValueError("vms must be >= 2: each trial summarizes per-VM means")
 
-    detections = 0
-    erroneous = 0
     outcomes: list[TrialOutcome] = []
-    effect_sizes: list[float] = []
     relative_stddevs: list[float] = []
     trial_seeds = SplitMix64(workload.seed)
 
@@ -93,40 +88,24 @@ def run_injection_study(
         trial_seed = trial_seeds.next_u64()
         base_spec = WorkloadSpec(kind=workload.kind, size=workload.size, seed=trial_seed)
         injected_spec = replace(workload, seed=trial_seed)
-        try:
-            base, injected = run_paired_campaign(config, base_spec, injected_spec, clock=clock)
-            summary_base = summarize(base)
-            summary_injected = summarize(injected)
-            outcome = decide(
-                summary_base.per_vm_means_ns, summary_injected.per_vm_means_ns, decision
-            )
-        except CampaignError as exc:
-            erroneous += 1
-            outcomes.append(TrialOutcome(trial, None, None, None, error=str(exc)))
-            continue
-        if outcome.changed:
-            detections += 1
-        effect_sizes.append(outcome.effect_size)
+        base, injected = run_paired_campaign(config, base_spec, injected_spec, clock=clock)
+        summary_base = summarize(base)
+        summary_injected = summarize(injected)
+        outcome = decide(summary_base.per_vm_means_ns, summary_injected.per_vm_means_ns, decision)
         relative_stddevs.append(summary_base.relative_stddev)
         relative_stddevs.append(summary_injected.relative_stddev)
-        outcomes.append(
-            TrialOutcome(trial, outcome.changed, outcome.p_value, outcome.effect_size)
-        )
+        outcomes.append(TrialOutcome(trial, outcome.changed, outcome.p_value, outcome.effect_size))
 
-    completed = trials - erroneous
+    detections = sum(o.changed for o in outcomes)
     return StudyReport(
         workload=workload,
         config=config,
         decision=decision,
         trials=trials,
         detections=detections,
-        erroneous=erroneous,
-        detection_rate=detections / completed if completed else 0.0,
-        mean_effect_size=sum(effect_sizes) / len(effect_sizes) if effect_sizes else None,
-        mean_relative_stddev=(
-            sum(relative_stddevs) / len(relative_stddevs) if relative_stddevs else None
-        ),
+        detection_rate=detections / trials,
+        mean_effect_size=sum(o.effect_size for o in outcomes) / trials,
+        mean_relative_stddev=sum(relative_stddevs) / len(relative_stddevs),
         busywait_quantum_ns=measure_busywait_quantum(),
         outcomes=tuple(outcomes),
     )
-

@@ -352,6 +352,9 @@ def test_inject_writes_study_report(tmp_path):
 
 ONE_VM = ["--vms", "1", "--warmup", "0", "--iterations", "1", "--repetitions", "1"]
 INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
+TWO_VMS = ["--vms", "2", "--warmup", "0", "--iterations", "1", "--repetitions", "1"]
+# Relative to the test's working directory, where no such directory exists.
+MISSING_DIR_OUT = ["--out", "missing/x.json"]
 
 
 @pytest.mark.parametrize("args", [
@@ -385,6 +388,11 @@ INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
     ["measure", "--workload", "add", "--size", "10", *ONE_VM, "--gc"],
     ["power", "--gamma", "1e-160", "--beta", "0.1"],
     ["power", "--gamma", "1", "--vms", "1" + "0" * 400],
+    ["measure", "--workload", "add", "--size", "10", *TWO_VMS, *MISSING_DIR_OUT],
+    ["inject", "--workload", "add", "--size", "10", *TWO_VMS, "--trials", "1",
+     *MISSING_DIR_OUT],
+    ["stddev-sweep", "--workload", "add", "--sizes", "10", *TWO_VMS, *MISSING_DIR_OUT],
+    ["power", "curve", "--gammas", "1", "--vms-max", "3", *MISSING_DIR_OUT],
     *([*BUDGET, "--gamma", "0.5", flag, value, other, "1"]
       for flag, other in (("--seconds-per-vm", "--budget"), ("--budget", "--seconds-per-vm"))
       for value in ("nan", "inf", "0", "-1")),
@@ -394,17 +402,22 @@ INJECT = ["inject", "--workload", "add", "--size", "10", *ONE_VM]
         "curve-no-gammas", "unknown-option", "abbreviated-option", "unparsable-number",
         "bad-choice", "power-nan-gamma", "power-inf-gamma", "power-inf-gamma-beta",
         "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel",
-        "measure-gc", "power-tiny-gamma", "power-huge-vms",
+        "measure-gc", "power-tiny-gamma", "power-huge-vms", "measure-out-missing-dir",
+        "inject-out-missing-dir", "sweep-out-missing-dir", "curve-out-missing-dir",
         *(f"power-{flag}-{value}" for flag in ("seconds-per-vm", "budget")
           for value in ("nan", "inf", "0", "-1"))])
-def test_invalid_values_exit_with_validation_code(tmp_path, args):
-    if args[0] in ("inject", "tune", "measure"):
+def test_invalid_values_exit_with_validation_code(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    launches = record_launches(monkeypatch)
+    if args[0] in ("inject", "tune", "measure") and "--out" not in args:
         args = [*args, "--out", str(tmp_path / "out")]
     result = invoke(args)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert "Traceback" not in result.output
+    assert launches == []
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("command, defaults", [
@@ -451,6 +464,20 @@ def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("error: executor failed for vm 0: ")
     assert not (tmp_path / "f").exists()
+
+
+def test_inject_with_a_failed_start_exits_with_executor_code(tmp_path, monkeypatch):
+    reply_with(monkeypatch, '{"executions_at_start": 0}')
+    out = tmp_path / "study.json"
+    result = invoke([
+        "inject", "--workload", "add", "--size", "10", *TWO_VMS, "--trials", "3",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: executor failed for old vm 0: bad result line")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_malformed_result_line_exits_with_executor_code(tmp_path, monkeypatch):
@@ -500,10 +527,10 @@ def documents(tmp_path_factory):
     ("report", ["selection"], ["feasible", "reason", "config", "cell"]),
     ("report", ["selection", "cell"], ["vms", "iterations", "repetitions", "f1", "tp", "fp",
                                        "fn", "tn"]),
-    ("study", [], ["workload", "config", "decision", "trials", "detections", "erroneous",
+    ("study", [], ["workload", "config", "decision", "trials", "detections",
                    "detection_rate", "mean_effect_size", "mean_relative_stddev",
                    "busywait_quantum_ns", "outcomes"]),
-    ("study", ["outcomes", 0], ["trial", "changed", "p_value", "effect_size", "error"]),
+    ("study", ["outcomes", 0], ["trial", "changed", "p_value", "effect_size"]),
 ], ids=["verdict", "report", "report.plan", "report.selection", "report.selection.cell",
         "study", "study.outcomes[0]"])
 def test_document_key_order(documents, name, path, keys):

@@ -125,14 +125,18 @@ def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
     assert "size" in excinfo.value.diagnostics
 
 
-@pytest.mark.parametrize("line", [
-    '{"executions_at_start": 0}',
-    "[1]",
-    '{"warmup_ns": [1, 1, 1], "measurement_ns": [1.5, 1, 1], "executions_at_start": 0}',
-], ids=["missing-field", "non-object", "float-duration"])
-def test_malformed_result_line_is_an_executor_failure(monkeypatch, line):
+@pytest.mark.parametrize("line, message", [
+    ('{"executions_at_start": 0}', "bad result line"),
+    ("[1]", "bad result line"),
+    ('{"warmup_ns": [1, 1, 1], "measurement_ns": [1.5, 1, 1], "executions_at_start": 0}',
+     "bad result line"),
+    ("", "executor produced no result line"),
+    ('{"warmup_ns": [1, 1, 1], "measurement_ns": [1, 1, 1], "executions_at_start": 1}',
+     r"executor was not fresh \(counter=1\)"),
+], ids=["missing-field", "non-object", "float-duration", "empty", "not-fresh"])
+def test_malformed_result_line_is_an_executor_failure(monkeypatch, line, message):
     reply_with(monkeypatch, line)
-    with pytest.raises(CampaignError, match="vm 0"):
+    with pytest.raises(CampaignError, match=f"vm 0: {message}"):
         run_campaign(small_config(), add_spec(), clock=FAKE)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import hardware_gated
+from conftest import hardware_gated, make_series
 from perfdelta import injection
 from perfdelta.executor import FakeClock
 from perfdelta.harness import CampaignError
@@ -33,7 +33,6 @@ def test_study_structural_outcome_count():
     assert report.trials == 3
     assert len(report.outcomes) == 3
     assert [o.trial for o in report.outcomes] == [0, 1, 2]
-    assert report.erroneous == 0
     assert 0.0 <= report.detection_rate <= 1.0
     # A constant fake clock yields identical samples: never a detection.
     assert report.detections == 0
@@ -50,24 +49,23 @@ def test_study_config_equality_between_variants():
     assert len(doc["outcomes"]) == 1
 
 
-def test_erroneous_trials_counted_separately(monkeypatch):
+def test_a_failed_start_ends_the_study(monkeypatch):
     calls = {"n": 0}
     real = injection.run_paired_campaign
+    failure = CampaignError(1, "simulated crash", "new")
 
     def flaky(config, old, new, clock=None):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise CampaignError(1, "simulated crash", "new")
+            raise failure
         return real(config, old, new, clock=clock)
 
     monkeypatch.setattr(injection, "run_paired_campaign", flaky)
-    report = run_injection_study(ADD, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
-    assert report.erroneous == 1
-    assert report.trials == 3
-    failed = report.outcomes[1]
-    assert failed.changed is None and "simulated crash" in failed.error
-    # Rate is over the 2 completed trials only.
-    assert report.detection_rate == report.detections / 2
+    with pytest.raises(CampaignError) as excinfo:
+        run_injection_study(ADD, TINY, MW, trials=3, clock=FakeClock(step_ns=1000))
+    assert excinfo.value is failure
+    assert (excinfo.value.vm_index, excinfo.value.version) == (1, "new")
+    assert calls["n"] == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1])
@@ -78,13 +76,13 @@ def test_trial_seed_is_output_number_trial_of_the_stream(monkeypatch, seed):
 
     def record(config, old, new, clock=None):
         handed.append((old, new))
-        raise CampaignError(0, "not run", "old")
+        return make_series([[100], [101]]), make_series([[100], [101]])
 
     monkeypatch.setattr(injection, "run_paired_campaign", record)
     injected = WorkloadSpec(kind=WorkloadKind.WRITE, size=7, injected_delay_ns=5, seed=seed,
                             delay_subset_fraction=0.5)
     report = run_injection_study(injected, TINY, MW, trials=4)
-    assert report.erroneous == 4
+    assert [o.trial for o in report.outcomes] == [0, 1, 2, 3]
     stream = SplitMix64(seed)
     assert len(handed) == 4
     for base, new in handed:

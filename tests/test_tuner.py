@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 
-from conftest import make_series
+from conftest import make_series, reply_with
 from perfdelta import tuner
 from perfdelta.executor import FakeClock
+from perfdelta.harness import CampaignError
 from perfdelta.model import DecisionConfig, StatTest, WorkloadKind, to_csv
 from perfdelta.power import type_ii_error
 from perfdelta.stats import per_vm_means, summarize, window_matrix
@@ -66,6 +67,9 @@ def test_plan_invariants():
         small_plan(resamples=0)
     with pytest.raises(ValueError):
         small_plan(workload_kinds=())
+    for delta in ("delta_ops", "delta_ns"):
+        with pytest.raises(ValueError, match="deltas must be >= 0"):
+            small_plan(**{delta: -1})
 
 
 @pytest.mark.parametrize("grid,value", [
@@ -114,6 +118,18 @@ def test_record_pool_depth_and_persistence(tmp_path):
     assert pool.changed.shape == (4, 6)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["pool_add_r1000_base.json", "pool_add_r1000_changed.json"]
+
+
+def test_record_pool_names_the_pool_a_failed_start_was_recording(monkeypatch):
+    reply_with(monkeypatch, "")
+    plan = small_plan(synthetic_gamma=None, max_vms=2, vm_grid=(2,),
+                      iteration_grid=(3,), max_iterations=3, size_s=4)
+    with pytest.raises(CampaignError) as excinfo:
+        record_pool(plan, WorkloadKind.ADD, clock=FakeClock(step_ns=1000))
+    message = str(excinfo.value)
+    assert message.startswith("executor failed for old vm 0: ")
+    assert "kind=add repetitions=1000: executor produced no result line" in message
+    assert (excinfo.value.vm_index, excinfo.value.version) == (0, "old")
 
 
 def test_synthetic_pool_shape_and_offset():
