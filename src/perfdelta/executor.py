@@ -1,10 +1,11 @@
 """Child-side executor: runs one VM start's worth of iterations.
 
 Protocol: the parent writes a single JSON job document to the child's
-standard input: ``{"config": ..., "workload": ..., "clock": ...}``, the
+standard input: ``{"config": ..., "workload": ..., "step_ns": ...}``, the
 first two a :class:`MeasurementConfig` and a :class:`WorkloadSpec` in the
 layout of :func:`~perfdelta.model.to_document`, read back with
-:func:`~perfdelta.model.from_document`.
+:func:`~perfdelta.model.from_document`, and ``step_ns`` the step of a
+:class:`FakeClock` or ``null`` for the monotonic hardware clock.
 The child replies with one JSON result line on standard output, holding
 exactly ``warmup_ns``, ``measurement_ns`` and ``executions_at_start``.  Exit
 code 0 means success; on failure a structured JSON error is written to
@@ -20,9 +21,6 @@ the model and the workloads: numpy loads when a workload builds its random
 generator, so an ``allocate`` child never loads it.  The child runs the job
 it is given: the parent has already checked its workload against the memory
 budget.
-
-The clock is injected through :func:`clock_from_spec`, so tests and jobs can
-substitute a deterministic counter for the monotonic hardware clock.
 """
 
 from __future__ import annotations
@@ -72,12 +70,6 @@ class FakeClock:
         return self.step_ns
 
 
-def clock_from_spec(spec: dict | None):
-    if spec is None:
-        return MonotonicClock()
-    return FakeClock(step_ns=int(spec["step_ns"]))
-
-
 # Campaigns executed inside this process; a fresh executor process must
 # observe zero, which the parent asserts to verify start-level isolation.
 _EXECUTED_CAMPAIGNS = 0
@@ -88,6 +80,8 @@ def execute_job(job: dict, clock=None) -> dict:
 
     Each iteration brackets exactly ``repetitions`` workload executions
     between two clock reads; the sink is drained outside the timed window.
+    Without ``clock``, the job's ``step_ns`` picks a :class:`FakeClock` or,
+    when null, the :class:`MonotonicClock`.
     """
     global _EXECUTED_CAMPAIGNS
     executions_at_start = _EXECUTED_CAMPAIGNS
@@ -97,7 +91,9 @@ def execute_job(job: dict, clock=None) -> dict:
     spec = from_document(WorkloadSpec, job.get("workload"), "workload")
 
     if clock is None:
-        clock = clock_from_spec(job.get("clock"))
+        step_ns = job.get("step_ns")
+        clock = (MonotonicClock() if step_ns is None
+                 else FakeClock(from_document(int, step_ns, "step_ns")))
 
     instance = create_instance(spec)
 

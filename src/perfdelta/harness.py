@@ -3,13 +3,16 @@
 Each VM start is a fresh OS process running :func:`executor_command`: an
 interpreter started with ``-I -S`` that takes this process's import path
 and no ``PYTHON*`` environment variable.  The parent stays single-threaded
-and runs one executor at a time, so each VM start is timed alone; a paired
-campaign alternates the old and the new version's starts.  Every launch
-goes through ``_launch``: when a child fails, its result is bad or the wait
-is interrupted, the child is killed and reaped before the error propagates.
-Before the first start, ``_launch`` checks each distinct workload against
-the memory budget of :func:`~perfdelta.workloads.check_memory_budget`; the
-children never check it.
+and runs one executor at a time, so each VM start is timed alone.  Every
+campaign goes through ``_launch``, which maps versions to workloads (one
+version for a campaign, ``old`` then ``new`` for a pair) and runs VM index by
+VM index, each version's start in turn, so a paired campaign alternates the
+old and the new version's starts.  ``_spawn`` starts a child and ``_finish``
+hands it its job on standard input and waits; when a child fails, its result
+is bad or the wait is interrupted, the child is killed and reaped before the
+error propagates.  Before the first start, ``_launch`` checks each distinct
+workload against the memory budget of
+:func:`~perfdelta.workloads.check_memory_budget`; the children never check it.
 """
 
 from __future__ import annotations
@@ -24,22 +27,6 @@ from . import workloads
 from .executor import FakeClock, MonotonicClock
 from .model import CampaignError, MeasurementConfig, MeasurementSeries, VmRun, WorkloadSpec
 from .model import from_document, to_document, utc_now
-
-
-def _clock_job_entry(clock) -> dict | None:
-    if clock is None:
-        return None
-    if isinstance(clock, FakeClock):
-        return {"step_ns": clock.step_ns}
-    raise ValueError(f"cannot serialize clock of type {type(clock).__name__} into a job")
-
-
-def _build_job(config: MeasurementConfig, workload: WorkloadSpec, clock) -> dict:
-    return {
-        "config": to_document(config),
-        "workload": to_document(workload),
-        "clock": _clock_job_entry(clock),
-    }
 
 
 #: Interpreter flags of every executor start, also recorded in a series' environment.
@@ -67,24 +54,19 @@ def executor_command() -> list[str]:
     return [sys.executable, *_EXECUTOR_FLAGS, "-c", bootstrap]
 
 
-def _spawn(job: dict) -> subprocess.Popen:
-    proc = subprocess.Popen(
+def _spawn() -> subprocess.Popen:
+    return subprocess.Popen(
         executor_command(),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
-    assert proc.stdin is not None
-    proc.stdin.write(json.dumps(job))
-    proc.stdin.close()
-    proc.stdin = None  # communicate() must not touch the already-closed pipe
-    return proc
 
 
-def _finish(proc: subprocess.Popen, vm_index: int, version: str | None = None) -> VmRun:
-    """Wait for an executor and turn its result line into a run."""
-    out, err = proc.communicate()
+def _finish(proc: subprocess.Popen, job: dict, vm_index: int, version: str | None) -> VmRun:
+    """Hand an executor its job, wait for it and turn its result line into a run."""
+    out, err = proc.communicate(json.dumps(job))
     if proc.returncode != 0:
         raise CampaignError(vm_index, err.strip() or f"exit code {proc.returncode}", version)
     lines = [line for line in out.splitlines() if line.strip()]
@@ -113,41 +95,41 @@ def _environment_metadata(clock) -> dict[str, str]:
     }
 
 
-def _launch(config: MeasurementConfig, members, clock) -> dict:
-    """Run executor starts in order and assemble one series per version.
+def _launch(config: MeasurementConfig, versions: dict, clock) -> dict:
+    """Run executor starts VM index by VM index and assemble one series per version.
 
-    ``members`` lists ``(version, vm_index, workload)`` starts; each is
-    spawned and finished before the next one starts, once every distinct
-    workload has passed the memory budget.  On any failure or interrupt while
-    waiting, the child is killed and reaped, unless it has already exited,
-    before the exception propagates.
+    ``versions`` maps each version to its workload; at every VM index each
+    version is started in the mapping's order, and each start is finished
+    before the next one spawns, once every distinct workload has passed the
+    memory budget.  On any failure or interrupt while waiting, the child is
+    killed and reaped, unless it has already exited, before the exception
+    propagates.
     """
-    for workload in dict.fromkeys(workload for _, _, workload in members):
+    for workload in dict.fromkeys(versions.values()):
         workloads.check_memory_budget(workload, config.repetitions)
-    runs: dict[str | None, list[VmRun]] = {}
-    specs: dict[str | None, WorkloadSpec] = {}
-    for version, vm_index, workload in members:
-        proc = _spawn(_build_job(config, workload, clock))
-        try:
-            run = _finish(proc, vm_index, version)
-        except BaseException:
-            if proc.returncode is None:
-                proc.kill()
-                proc.communicate()
-            raise
-        runs.setdefault(version, []).append(run)
-        specs[version] = workload
+    step_ns = clock.step_ns if isinstance(clock, FakeClock) else None
+    jobs = {
+        version: {"config": to_document(config), "workload": to_document(workload),
+                  "step_ns": step_ns}
+        for version, workload in versions.items()
+    }
+    runs: dict[str | None, list[VmRun]] = {version: [] for version in versions}
+    for vm_index in range(config.vms):
+        for version, job in jobs.items():
+            proc = _spawn()
+            try:
+                runs[version].append(_finish(proc, job, vm_index, version))
+            except BaseException:
+                if proc.returncode is None:
+                    proc.kill()
+                    proc.communicate()
+                raise
     environment = _environment_metadata(clock)
     timestamp = utc_now()
     return {
-        version: MeasurementSeries(
-            config=config,
-            workload=specs[version],
-            timestamp=timestamp,
-            environment=environment,
-            vm_runs=tuple(version_runs),
-        )
-        for version, version_runs in runs.items()
+        version: MeasurementSeries(config=config, workload=workload, timestamp=timestamp,
+                                   environment=environment, vm_runs=tuple(runs[version]))
+        for version, workload in versions.items()
     }
 
 
@@ -155,8 +137,7 @@ def run_campaign(
     config: MeasurementConfig, workload: WorkloadSpec, clock=None
 ) -> MeasurementSeries:
     """Run ``config.vms`` sequential executor starts and assemble the series."""
-    members = [(None, vm_index, workload) for vm_index in range(config.vms)]
-    return _launch(config, members, clock)[None]
+    return _launch(config, {None: workload}, clock)[None]
 
 
 def run_paired_campaign(
@@ -168,10 +149,5 @@ def run_paired_campaign(
     """Measure two versions with aligned VM indices, alternating old and new starts."""
     if workload_old.kind is not workload_new.kind:
         raise ValueError("paired campaigns require both workloads to share a kind")
-    members = [
-        member
-        for i in range(config.vms)
-        for member in (("old", i, workload_old), ("new", i, workload_new))
-    ]
-    series = _launch(config, members, clock)
+    series = _launch(config, {"old": workload_old, "new": workload_new}, clock)
     return series["old"], series["new"]

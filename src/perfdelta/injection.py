@@ -50,14 +50,12 @@ def measure_busywait_quantum() -> int:
     quantum per window, not one per operation.  The quantum is reported with
     each study so that overshoot can be judged against the nominal delay.
     """
-    best = None
+    timings = []
     for _ in range(200):
         start = time.perf_counter_ns()
         busy_wait_ns(1)
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best if best is not None else 1
+        timings.append(time.perf_counter_ns() - start)
+    return min(timings)
 
 
 def run_injection_study(
@@ -82,10 +80,9 @@ def run_injection_study(
 
     outcomes: list[TrialOutcome] = []
     relative_stddevs: list[float] = []
-    trial_seeds = SplitMix64(workload.seed)
+    trial_seeds = SplitMix64(workload.seed).next_block(trials).tolist()
 
-    for trial in range(trials):
-        trial_seed = trial_seeds.next_u64()
+    for trial, trial_seed in enumerate(trial_seeds):
         base_spec = WorkloadSpec(kind=workload.kind, size=workload.size, seed=trial_seed)
         injected_spec = replace(workload, seed=trial_seed)
         base, injected = run_paired_campaign(config, base_spec, injected_spec, clock=clock)

@@ -76,6 +76,10 @@ class TunerPlan:
             grid = getattr(self, name)
             if not grid or min(grid) < least:
                 raise ValueError(f"{name} must be non-empty with every value >= {least}")
+        for name in ("workload_kinds", "vm_grid", "iteration_grid", "repetitions_grid"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value")
         if max(self.vm_grid) > self.max_vms:
             raise ValueError("vm_grid exceeds max_vms")
         if max(self.iteration_grid) > self.max_iterations:

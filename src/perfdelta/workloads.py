@@ -54,15 +54,8 @@ class SplitMix64:
 
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def next_block(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs as a uint64 array (same stream as next_u64)."""
+        """The next ``n`` outputs of the recurrence as a uint64 array."""
         base = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         z = base

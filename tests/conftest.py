@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -62,21 +63,21 @@ def make_series(
 def record_launches(monkeypatch) -> list:
     """Record the real order of executor starts and waits in ``perfdelta.harness``.
 
-    Each start appends ``("spawn", workload seed)`` and each wait
-    ``("finish", version, vm_index)``; both still run the real seams.
+    Each start appends ``("spawn",)`` and each wait ``("finish", version,
+    vm_index, workload seed)``; both still run the real seams.
     """
     from perfdelta import harness
 
     events = []
     real_spawn, real_finish = harness._spawn, harness._finish
 
-    def spawn(job):
-        events.append(("spawn", job["workload"]["seed"]))
-        return real_spawn(job)
+    def spawn():
+        events.append(("spawn",))
+        return real_spawn()
 
-    def finish(proc, vm_index, version=None):
-        events.append(("finish", version, vm_index))
-        return real_finish(proc, vm_index, version)
+    def finish(proc, job, vm_index, version):
+        events.append(("finish", version, vm_index, job["workload"]["seed"]))
+        return real_finish(proc, job, vm_index, version)
 
     monkeypatch.setattr(harness, "_spawn", spawn)
     monkeypatch.setattr(harness, "_finish", finish)
@@ -84,22 +85,33 @@ def record_launches(monkeypatch) -> list:
 
 
 class _ScriptedChild:
-    """Stands in for an executor process that exits 0 after printing ``line``."""
+    """Stands in for an executor process that reads its job, then exits 0
+    after printing ``line``."""
 
     returncode = 0
 
     def __init__(self, line: str):
         self.line = line
+        self.job = None
 
-    def communicate(self):
+    def communicate(self, job: str):
+        self.job = json.loads(job)
         return self.line + "\n", ""
 
 
-def reply_with(monkeypatch, line: str) -> None:
-    """Make every executor start in ``perfdelta.harness`` reply ``line``."""
+def reply_with(monkeypatch, line: str) -> list:
+    """Make every executor start in ``perfdelta.harness`` reply ``line``;
+    returns the scripted children in start order."""
     from perfdelta import harness
 
-    monkeypatch.setattr(harness, "_spawn", lambda job: _ScriptedChild(line))
+    children = []
+
+    def spawn():
+        children.append(_ScriptedChild(line))
+        return children[-1]
+
+    monkeypatch.setattr(harness, "_spawn", spawn)
+    return children
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ recurrences, arbitrary-precision arithmetic instead of floats,
 incomplete-beta tail probabilities instead of library survival functions, and
 one 1-D decision per resampling trial instead of one batch per grid cell.
 The whole-batch Student-t tail kernel that the compacting one replaced is
-kept verbatim, as the bit-for-bit reference for it, and so is the pure-Python
-rank-sum recurrence that the numpy count table replaced.
+kept verbatim, as the bit-for-bit reference for it, and so are the pure-Python
+rank-sum recurrence that the numpy count table replaced and the scalar
+SplitMix64 recurrence that the vectorized ``SplitMix64.next_block`` computes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,30 @@ def mann_whitney_exact_bruteforce(x, y) -> float:
         if u >= u_max:
             count_ge += 1
     return min(1.0, 2.0 * count_ge / comb(total, n1))
+
+
+# --- reference SplitMix64 stream ---------------------------------------------
+# ``workloads.SplitMix64``'s scalar method as it was before every caller drew
+# blocks: one output per call, all arithmetic mod 2**64.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+class ScalarSplitMix64:
+    """SplitMix64 by its documented recurrence, one Python int at a time."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
 
 
 # --- reference exact Mann-Whitney table ---------------------------------------

@@ -202,7 +202,7 @@ def test_criterion_7_harness_structural_correctness(verdict, monkeypatch):
     launches_ok = events == [
         e
         for i in range(3)
-        for e in (("spawn", 1), ("finish", "old", i), ("spawn", 2), ("finish", "new", i))
+        for e in (("spawn",), ("finish", "old", i, 1), ("spawn",), ("finish", "new", i, 2))
     ]
 
     data = serialize_series(series)

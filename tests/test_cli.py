@@ -32,6 +32,37 @@ def test_measure_writes_valid_series(tmp_path):
     assert "mean_ns=" in result.output
 
 
+def test_measure_one_vm_writes_a_series_without_a_spread_summary(tmp_path):
+    out = tmp_path / "one.json"
+    result = invoke([
+        "measure", "--workload", "add", "--size", "10", "--vms", "1", "--warmup", "1",
+        "--iterations", "2", "--repetitions", "1", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "single VM measured; no spread summary\n"
+    series = deserialize_series(out.read_bytes())
+    assert [len(r.measurement_ns) for r in series.vm_runs] == [2]
+
+
+@pytest.mark.parametrize("command, existing_dir", [
+    (["measure", "--workload", "add", "--size", "10", "--vms", "1"], True),
+    (["tune", "--workload", "add", "--synthetic", "gamma=3"], False),
+], ids=["measure-into-a-directory", "tune-into-a-file"])
+def test_an_output_of_the_wrong_kind_is_refused(tmp_path, monkeypatch, command, existing_dir):
+    launches = record_launches(monkeypatch)
+    out = tmp_path / "out"
+    if existing_dir:
+        out.mkdir()
+    else:
+        out.write_text("kept\n")
+    result = invoke([*command, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert launches == []
+    assert out.is_dir() if existing_dir else out.read_text() == "kept\n"
+
+
 def test_measure_requires_out():
     result = invoke(["measure", "--workload", "add", "--size", "300"])
     assert result.exit_code == 2
@@ -273,6 +304,34 @@ def test_tune_refuses_an_over_budget_pool_before_recording_any(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_recorded_tune_end_to_end(tmp_path, monkeypatch):
+    # A 2-VM grid records 4-VM pools: 4 old and 4 new starts, alternating.
+    launches = record_launches(monkeypatch)
+    out = tmp_path / "tune-rec"
+    result = invoke([
+        "tune", "--workload", "add", "--size", "10", "--vm-grid", "2", "--iteration-grid", "1",
+        "--repetitions-grid", "1", "--resamples", "5", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    for label in ("base", "changed"):
+        series = deserialize_series((out / f"pool_add_r1_{label}.json").read_bytes())
+        assert len(series.vm_runs) == 4
+        assert all((len(r.warmup_ns), len(r.measurement_ns)) == (1, 1) for r in series.vm_runs)
+    assert (out / "report.json").exists()
+    for name in ("add", "average"):
+        header, *rows = (out / f"heatmap_{name}.csv").read_text().splitlines()
+        assert rows
+        for row in rows:
+            cell = dict(zip(header.split(","), row.split(",")))
+            assert int(cell["tp"]) + int(cell["fn"]) == 5
+            assert int(cell["fp"]) + int(cell["tn"]) == 5
+    assert launches == [
+        e
+        for i in range(4)
+        for e in (("spawn",), ("finish", "old", i, 0), ("spawn",), ("finish", "new", i, 0))
+    ]
+
+
 # --- stddev-sweep ----------------------------------------------------------
 
 
@@ -393,6 +452,10 @@ MISSING_DIR_OUT = ["--out", "missing/x.json"]
      *MISSING_DIR_OUT],
     ["stddev-sweep", "--workload", "add", "--sizes", "10", *TWO_VMS, *MISSING_DIR_OUT],
     ["power", "curve", "--gammas", "1", "--vms-max", "3", *MISSING_DIR_OUT],
+    ["tune", "--workload", "add", "--workload", "add", "--size", "10", "--vm-grid", "2",
+     "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "5"],
+    ["tune", "--workload", "add", "--size", "10", "--vm-grid", "2", "--iteration-grid", "1",
+     "--repetitions-grid", "1,1", "--resamples", "5"],
     *([*BUDGET, "--gamma", "0.5", flag, value, other, "1"]
       for flag, other in (("--seconds-per-vm", "--budget"), ("--budget", "--seconds-per-vm"))
       for value in ("nan", "inf", "0", "-1")),
@@ -404,6 +467,7 @@ MISSING_DIR_OUT = ["--out", "missing/x.json"]
         "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel",
         "measure-gc", "power-tiny-gamma", "power-huge-vms", "measure-out-missing-dir",
         "inject-out-missing-dir", "sweep-out-missing-dir", "curve-out-missing-dir",
+        "tune-repeated-workload", "tune-repeated-repetitions",
         *(f"power-{flag}-{value}" for flag in ("seconds-per-vm", "budget")
           for value in ("nan", "inf", "0", "-1"))])
 def test_invalid_values_exit_with_validation_code(tmp_path, monkeypatch, args):
@@ -418,6 +482,7 @@ def test_invalid_values_exit_with_validation_code(tmp_path, monkeypatch, args):
     assert "Traceback" not in result.output
     assert launches == []
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, defaults", [
@@ -450,14 +515,13 @@ def test_inject_rejects_one_vm_before_any_executor_start(tmp_path, monkeypatch):
 def test_executor_failure_exits_with_executor_code(tmp_path, monkeypatch):
     from perfdelta import harness
 
-    real_build_job = harness._build_job
+    real_finish = harness._finish
 
-    def broken_job(*args):
-        job = real_build_job(*args)
-        job["workload"]["size"] = -1
-        return job
+    def finish_with_a_broken_job(proc, job, vm_index, version):
+        job = {**job, "workload": {**job["workload"], "size": -1}}
+        return real_finish(proc, job, vm_index, version)
 
-    monkeypatch.setattr(harness, "_build_job", broken_job)
+    monkeypatch.setattr(harness, "_finish", finish_with_a_broken_job)
     result = invoke([
         "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(tmp_path / "f"),
     ])

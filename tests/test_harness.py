@@ -83,7 +83,7 @@ def test_campaign_output_serializes_byte_stable():
 def test_sequential_campaign_logs_one_epoch_per_vm(monkeypatch):
     events = record_launches(monkeypatch)
     run_campaign(small_config(vms=3), add_spec(), clock=FAKE)
-    assert events == [e for i in range(3) for e in (("spawn", 7), ("finish", None, i))]
+    assert events == [e for i in range(3) for e in (("spawn",), ("finish", None, i, 7))]
 
 
 def test_paired_sequential_alternates_versions(monkeypatch):
@@ -93,7 +93,7 @@ def test_paired_sequential_alternates_versions(monkeypatch):
     assert events == [
         e
         for i in range(3)
-        for e in (("spawn", 7), ("finish", "old", i), ("spawn", 8), ("finish", "new", i))
+        for e in (("spawn",), ("finish", "old", i, 7), ("spawn",), ("finish", "new", i, 8))
     ]
 
 
@@ -106,7 +106,7 @@ def test_paired_campaign_requires_matching_kinds():
         )
 
 
-REAL_BUILD_JOB = harness._build_job
+REAL_FINISH = harness._finish
 
 
 def with_broken_size(job, size=-1):
@@ -114,11 +114,19 @@ def with_broken_size(job, size=-1):
     return job
 
 
-def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
-    def broken_job(config, workload, clock):
-        return with_broken_size(REAL_BUILD_JOB(config, workload, clock))
+def break_job_of(monkeypatch, version, vm_index):
+    """Hand the start of ``version`` at ``vm_index`` a job whose size is invalid."""
 
-    monkeypatch.setattr(harness, "_build_job", broken_job)
+    def finish(proc, job, index, started):
+        if (started, index) == (version, vm_index):
+            job = {**job, "workload": {**job["workload"], "size": -1}}
+        return REAL_FINISH(proc, job, index, started)
+
+    monkeypatch.setattr(harness, "_finish", finish)
+
+
+def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
+    break_job_of(monkeypatch, None, 0)
     with pytest.raises(CampaignError) as excinfo:
         run_campaign(small_config(), add_spec())
     assert excinfo.value.vm_index == 0
@@ -135,22 +143,18 @@ def test_executor_failure_carries_vm_index_and_diagnostics(monkeypatch):
      r"executor was not fresh \(counter=1\)"),
 ], ids=["missing-field", "non-object", "float-duration", "empty", "not-fresh"])
 def test_malformed_result_line_is_an_executor_failure(monkeypatch, line, message):
-    reply_with(monkeypatch, line)
+    children = reply_with(monkeypatch, line)
     with pytest.raises(CampaignError, match=f"vm 0: {message}"):
         run_campaign(small_config(), add_spec(), clock=FAKE)
+    assert [child.job for child in children] == [{
+        "config": to_document(small_config()),
+        "workload": to_document(add_spec()),
+        "step_ns": 1000,
+    }]
 
 
 def test_paired_failure_names_the_version(monkeypatch):
-    calls = {"n": 0}
-
-    def sabotage_new(config, workload, clock):
-        calls["n"] += 1
-        job = REAL_BUILD_JOB(config, workload, clock)
-        if calls["n"] == 2:  # the first "new" launch of a sequential pair
-            return with_broken_size(job)
-        return job
-
-    monkeypatch.setattr(harness, "_build_job", sabotage_new)
+    break_job_of(monkeypatch, "new", 0)  # the first "new" launch of a sequential pair
     with pytest.raises(CampaignError) as excinfo:
         run_paired_campaign(small_config(), add_spec(), add_spec(), clock=FAKE)
     assert excinfo.value.version == "new"
@@ -170,12 +174,12 @@ def test_interrupt_while_waiting_reaps_every_child(monkeypatch, mode):
     spawned = []
     real_spawn = harness._spawn
 
-    def recording_spawn(job):
-        proc = real_spawn(job)
+    def recording_spawn():
+        proc = real_spawn()
         spawned.append(proc)
         return proc
 
-    def interrupted_finish(proc, vm_index, version=None):
+    def interrupted_finish(proc, job, vm_index, version):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(harness, "_spawn", recording_spawn)
@@ -193,7 +197,7 @@ def make_job():
     return {
         "config": to_document(small_config(warmup_iterations=2)),
         "workload": to_document(add_spec()),
-        "clock": {"step_ns": 500},
+        "step_ns": 500,
     }
 
 
@@ -287,6 +291,7 @@ def test_executor_rejects_non_object_job():
 
 def test_executor_rejects_job_with_wrong_typed_field():
     assert_schema_error(run_executor(with_broken_size(make_job(), "4")), "workload.size")
+    assert_schema_error(run_executor({**make_job(), "step_ns": "500"}), "step_ns")
 
 
 KIND_SPECS = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hardware_gated, make_series
+from oracles import ScalarSplitMix64
 from perfdelta import injection
 from perfdelta.executor import FakeClock
 from perfdelta.harness import CampaignError
@@ -18,7 +19,6 @@ from perfdelta.model import (
 )
 from perfdelta.power import type_ii_error
 from perfdelta.stats import decide
-from perfdelta.workloads import SplitMix64
 
 MW = DecisionConfig(test=StatTest.MANN_WHITNEY, alpha=0.01)
 WELCH = DecisionConfig(test=StatTest.WELCH_T, alpha=0.01)
@@ -83,7 +83,7 @@ def test_trial_seed_is_output_number_trial_of_the_stream(monkeypatch, seed):
                             delay_subset_fraction=0.5)
     report = run_injection_study(injected, TINY, MW, trials=4)
     assert [o.trial for o in report.outcomes] == [0, 1, 2, 3]
-    stream = SplitMix64(seed)
+    stream = ScalarSplitMix64(seed)
     assert len(handed) == 4
     for base, new in handed:
         trial_seed = stream.next_u64()

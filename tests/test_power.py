@@ -66,12 +66,38 @@ def test_inversion_anchors():
     assert required_vms(1.0, 0.01, 0.01) == 49
 
 
+def _is_argmin(v, gamma, alpha, beta):
+    return type_ii_error(gamma, v, alpha) <= beta and (
+        v == 2 or type_ii_error(gamma, v - 1, alpha) > beta)
+
+
+def _closed_form_ceiling(gamma, alpha, beta):
+    z = max(0.0, -normal_quantile(beta) - normal_quantile(alpha / 2.0))
+    return max(2, math.ceil(2.0 * (z / gamma) ** 2))
+
+
 def test_required_vms_is_exact_argmin():
     for gamma, alpha, beta in ((0.5, 0.01, 0.01), (1.0, 0.05, 0.1), (0.07, 0.01, 0.2)):
+        assert _is_argmin(required_vms(gamma, alpha, beta), gamma, alpha, beta)
+    # With beta the Type II error at k VMs, the closed form can round to
+    # just above k (here 117.00000000000001), and only the downward step
+    # brings its ceiling back to k.
+    gamma, alpha = 1.350303027955802, 0.001
+    beta = type_ii_error(gamma, 117, alpha)
+    assert _closed_form_ceiling(gamma, alpha, beta) == 118
+    assert required_vms(gamma, alpha, beta) == 117
+    rng = random.Random(53)
+    stepped_down = 0
+    for _ in range(500):
+        gamma, alpha = rng.uniform(0.1, 1.5), rng.choice((0.001, 0.01, 0.05))
+        k = rng.randint(2, 300)
+        beta = type_ii_error(gamma, k, alpha)
+        if not 0.0 < beta < 1.0:
+            continue
         v = required_vms(gamma, alpha, beta)
-        assert type_ii_error(gamma, v, alpha) <= beta
-        if v > 2:
-            assert type_ii_error(gamma, v - 1, alpha) > beta
+        assert v <= k and _is_argmin(v, gamma, alpha, beta), (gamma, alpha, k)
+        stepped_down += _closed_form_ceiling(gamma, alpha, beta) > v
+    assert stepped_down > 0
 
 
 def test_inversion_agrees_with_direct_search():

@@ -70,6 +70,12 @@ def test_plan_invariants():
     for delta in ("delta_ops", "delta_ns"):
         with pytest.raises(ValueError, match="deltas must be >= 0"):
             small_plan(**{delta: -1})
+    for name, repeated in (("workload_kinds", (WorkloadKind.ADD, WorkloadKind.WRITE,
+                                                WorkloadKind.ADD)),
+                           ("vm_grid", (2, 3, 2)), ("iteration_grid", (1, 1)),
+                           ("repetitions_grid", (5, 5))):
+        with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+            small_plan(**{name: repeated})
 
 
 @pytest.mark.parametrize("grid,value", [

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from conftest import hardware_gated
+from oracles import ScalarSplitMix64
 from perfdelta.model import WorkloadKind, WorkloadSpec
 from perfdelta.workloads import (
     RECORD_BYTES,
@@ -21,17 +22,17 @@ def spec(kind, size, **kwargs):
 
 
 def test_splitmix_scalar_vector_agree():
-    a = SplitMix64(12345)
-    b = SplitMix64(12345)
-    scalar = [a.next_u64() for _ in range(100)]
-    vector = [int(v) for v in b.next_block(100)]
-    assert scalar == vector
+    scalar = ScalarSplitMix64(12345)
+    rng = SplitMix64(12345)
+    for n in (1, 3, 96):  # consecutive blocks continue one stream
+        assert rng.next_block(n).tolist() == [scalar.next_u64() for _ in range(n)]
 
 
 def test_splitmix_known_stream_is_stable():
     # Frozen first outputs for seed 0; guards the documented recurrence.
-    rng = SplitMix64(0)
-    first = [rng.next_u64() for _ in range(3)]
+    first = SplitMix64(0).next_block(3).tolist()
+    scalar = ScalarSplitMix64(0)
+    assert first == [scalar.next_u64() for _ in range(3)]
     assert first == [
         16294208416658607535,
         7960286522194355700,
@@ -41,7 +42,7 @@ def test_splitmix_known_stream_is_stable():
 
 def test_add_sum_deterministic():
     expected = 0
-    probe = SplitMix64(99)
+    probe = ScalarSplitMix64(99)
     for _ in range(4):
         expected = (expected + probe.next_u64()) & ((1 << 64) - 1)
     for _ in range(2):  # independent instances reproduce the identical sum
