@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -84,9 +85,13 @@ def _out(value: str, directory: bool = False) -> str:
 
 
 def _synthetic(value: str) -> float:
-    if not value.startswith("gamma="):
-        raise argparse.ArgumentTypeError(f"expected gamma=<value>, got {value!r}")
-    return float(value[len("gamma="):])
+    name, _, number = value.partition("=")
+    if name == "gamma":
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected gamma=<value>, got {value!r}")
 
 
 def _config(args) -> MeasurementConfig:
@@ -96,7 +101,7 @@ def _config(args) -> MeasurementConfig:
 
 
 def _decision(args) -> DecisionConfig:
-    return DecisionConfig(test=StatTest(args.test), alpha=args.alpha)
+    return DecisionConfig(test=args.test, alpha=args.alpha)
 
 
 def _load_series(path: str):
@@ -113,7 +118,7 @@ def _measure(args) -> None:
     from .harness import run_campaign
 
     config = _config(args)
-    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size,
+    workload = WorkloadSpec(kind=args.kind, size=args.size,
                             injected_delay_ns=args.delta_ns, seed=args.seed)
     series = run_campaign(config, workload)
     Path(args.out_path).write_bytes(serialize_series(series))
@@ -176,7 +181,7 @@ def _tune(args) -> None:
     from . import tuner
 
     plan = tuner.TunerPlan(
-        workload_kinds=tuple(WorkloadKind(k) for k in args.kinds or ("add",)),
+        workload_kinds=args.kinds or ("add",),
         size_s=args.size,
         delta_ops=args.delta_ops,
         delta_ns=args.delta_ns,
@@ -191,7 +196,9 @@ def _tune(args) -> None:
         synthetic_gamma=args.synthetic,
     )
     out = Path(args.out_dir)
+    started = time.perf_counter()
     report = tuner.tune(plan, out_dir=out)
+    wall_time_seconds = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)
     columns = [f.name for f in fields(tuner.GridCell)]
     grids = {**report.per_workload_grids, "average": report.average_grid}
@@ -199,7 +206,7 @@ def _tune(args) -> None:
         rows = (astuple(cell) for cell in grid.cells)
         (out / f"heatmap_{name}.csv").write_text(to_csv(columns, rows))
     (out / "report.json").write_text(json.dumps(tuner.report_to_document(report), indent=2) + "\n")
-    print(f"wall_time_seconds={report.wall_time_seconds:.3f}", file=sys.stderr)
+    print(f"wall_time_seconds={wall_time_seconds:.3f}", file=sys.stderr)
     if report.selection.feasible:
         cfg = report.selection.config
         print(f"selected vms={cfg.vms} iterations={cfg.measurement_iterations} "
@@ -217,7 +224,7 @@ def _stddev_sweep(args) -> None:
         raise ValueError("summaries need at least 2 VMs for a defined stddev")
     rows = []
     config = _config(args)
-    sweep = [WorkloadSpec(kind=WorkloadKind(args.kind), size=size, seed=args.seed)
+    sweep = [WorkloadSpec(kind=args.kind, size=size, seed=args.seed)
              for size in args.sizes]
     for workload in sweep:  # refuse an over-budget size before the first campaign
         check_memory_budget(workload, config.repetitions)
@@ -239,7 +246,7 @@ def _inject(args) -> None:
     """Inject a busy-wait regression repeatedly and report the detection rate."""
     from .injection import run_injection_study
 
-    workload = WorkloadSpec(kind=WorkloadKind(args.kind), size=args.size,
+    workload = WorkloadSpec(kind=args.kind, size=args.size,
                             injected_delay_ns=args.delta_ns, seed=args.seed,
                             delay_subset_fraction=args.subset_fraction)
     report = run_injection_study(workload, _config(args), _decision(args), args.trials)

@@ -34,10 +34,6 @@ from .model import MeasurementConfig, WorkloadSpec, from_document
 from .workloads import create_instance
 
 
-class ClockError(RuntimeError):
-    """The environment's clock misbehaved (e.g. went backwards)."""
-
-
 class MonotonicClock:
     """Highest-resolution monotonic clock the platform offers."""
 
@@ -114,7 +110,7 @@ def execute_job(job: dict, clock=None) -> dict:
             instance.run_repetitions(repetitions)
             end = clock.read()
             if end < start:
-                raise ClockError(f"clock went backwards: start={start}, end={end}")
+                raise RuntimeError(f"clock went backwards: start={start}, end={end}")
             bucket.append(end - start)
             instance.drain()
 

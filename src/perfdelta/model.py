@@ -65,6 +65,14 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _member(kind: type[Enum], value: Any, path: str) -> Any:
+    """The member of ``kind`` that ``value`` is or has as its value."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise SchemaError(path, f"unknown {kind.__name__} {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Full parametrization of one measurement campaign.
@@ -110,6 +118,7 @@ class WorkloadSpec:
     delay_subset_fraction: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", _member(WorkloadKind, self.kind, "workload.kind"))
         _require(self.size >= 1, "workload.size", "must be >= 1")
         _require(self.injected_delay_ns >= 0, "workload.injected_delay_ns", "must be >= 0")
         _require(0 <= self.seed < 2**64, "workload.seed", "must fit in 64 bits unsigned")
@@ -183,6 +192,7 @@ class DecisionConfig:
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "test", _member(StatTest, self.test, "decision.test"))
         _require(0.0 < self.alpha < 1.0, "decision.alpha", "must be in (0, 1)")
 
 
@@ -293,10 +303,7 @@ def from_document(kind: Any, doc: Any, path: str = "$") -> Any:
         except (TypeError, ValueError) as exc:
             raise SchemaError(path, f"not an ISO-8601 instant: {doc!r}") from exc
     if isinstance(kind, type) and issubclass(kind, Enum):
-        try:
-            return kind(doc)
-        except ValueError as exc:
-            raise SchemaError(path, f"unknown {kind.__name__} {doc!r}") from exc
+        return _member(kind, doc, path)
     if kind is float and type(doc) is int:
         try:
             return float(doc)

@@ -41,10 +41,6 @@ from .model import DecisionConfig, MeasurementSeries, SeriesSummary, StatTest
 EXACT_MANN_WHITNEY_LIMIT = 14
 
 
-class StatsError(ValueError):
-    """Raised on degenerate inputs (e.g. fewer than 2 VMs)."""
-
-
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of a two-sample change decision: Python scalars for one pair of
@@ -72,7 +68,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
-        raise StatsError(f"normal_quantile requires p in (0, 1), got {p}")
+        raise ValueError(f"normal_quantile requires p in (0, 1), got {p}")
     return NormalDist().inv_cdf(p)
 
 
@@ -169,7 +165,7 @@ def t_quantile(p: float, df: float) -> float:
     where the far tail is nearly straight.  They start from the normal
     quantile, which is never further out, and bisect once past the root."""
     if not (0.0 < p < 1.0 and df >= 1):
-        raise StatsError(f"t_quantile requires p in (0, 1) and df >= 1, got {p}, {df}")
+        raise ValueError(f"t_quantile requires p in (0, 1) and df >= 1, got {p}, {df}")
     tail = min(p, 1.0 - p)  # 1 - p is exact when it is the smaller one
     if tail == 0.5:
         return 0.0
@@ -229,7 +225,7 @@ def summarize(series: MeasurementSeries) -> SeriesSummary:
     their mean and sample stddev."""
     config = series.config
     if config.vms < 2:
-        raise StatsError("summaries need at least 2 VMs for a defined stddev")
+        raise ValueError("summaries need at least 2 VMs for a defined stddev")
     per_vm = per_vm_means(window_matrix(series), config.warmup_iterations,
                           config.warmup_iterations + config.measurement_iterations,
                           config.repetitions)
@@ -253,7 +249,7 @@ def _u_counts(n1: int, n2: int) -> np.ndarray:
     Row m of the table counts the size-m subsets of the ranks added so far, by
     sum; each rank adds row m - 1, shifted by the rank, into row m."""
     if n1 + n2 > 66:  # C(66, 33) < 2**63, so int64 counts cannot wrap up to here
-        raise StatsError(f"exact Mann-Whitney counts need n1 + n2 <= 66, got {n1 + n2}")
+        raise ValueError(f"exact Mann-Whitney counts need n1 + n2 <= 66, got {n1 + n2}")
     counts = np.zeros((n1 + 1, n1 * n2 + n1 * (n1 + 1) // 2 + 1), dtype=np.int64)
     counts[0, 0] = 1
     for rank in range(1, n1 + n2 + 1):
@@ -269,15 +265,6 @@ def _tie_free_p(n1: int, n2: int) -> np.ndarray:
     table = np.minimum(1.0, 2.0 * count_ge / float(comb(n1 + n2, n1)))
     table.flags.writeable = False
     return table
-
-
-def mann_whitney_exact_p(u_max: float, n1: int, n2: int) -> float:
-    """Two-sided exact p-value: min(1, 2 * P(U >= u_max)) under the null.
-
-    ``u_max`` must be the larger of the two U statistics of a tie-free pair.
-    """
-    u = max(0, math.ceil(u_max))  # U is an integer
-    return float(_tie_free_p(n1, n2)[u]) if u <= n1 * n2 else 0.0
 
 
 def mann_whitney_approx_p(u_max, n1: int, n2: int, tie_term=0.0) -> np.ndarray:
@@ -360,10 +347,10 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
     if single:
         old, new = old[None], new[None]
     if old.ndim != 2 or new.ndim != 2 or len(old) != len(new):
-        raise StatsError("decide takes two 1-D samples or two batches of R rows")
+        raise ValueError("decide takes two 1-D samples or two batches of R rows")
     n1, n2 = old.shape[1], new.shape[1]
     if n1 < 2 or n2 < 2:
-        raise StatsError("decide needs at least 2 values per sample")
+        raise ValueError("decide needs at least 2 values per sample")
     (m1, v1), (m2, v2) = _mean_and_variance(old), _mean_and_variance(new)
     diff = m1 - m2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,10 +362,8 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
             statistic, p = _welch(diff, v1, n1, v2, n2)
         elif decision.test is StatTest.MANN_WHITNEY:
             statistic, p = _mann_whitney(old, new)
-        elif decision.test is StatTest.CI_OVERLAP:
-            statistic, p = _ci_gap(m1, v1, n1, m2, v2, n2, decision.alpha), None
         else:
-            raise StatsError(f"unknown test: {decision.test}")
+            statistic, p = _ci_gap(m1, v1, n1, m2, v2, n2, decision.alpha), None
     changed = statistic > 0 if p is None else p < decision.alpha
     if single:
         return TestOutcome(

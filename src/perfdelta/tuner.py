@@ -17,7 +17,6 @@ policy the harness applies when measuring for real: a VM's value is
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,7 @@ class TunerPlan:
     synthetic_gamma: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload_kinds", tuple(self.workload_kinds))
+        object.__setattr__(self, "workload_kinds", tuple(map(WorkloadKind, self.workload_kinds)))
         object.__setattr__(self, "repetitions_grid", tuple(self.repetitions_grid))
         object.__setattr__(self, "vm_grid", tuple(self.vm_grid))
         object.__setattr__(self, "iteration_grid", tuple(self.iteration_grid))
@@ -88,6 +87,8 @@ class TunerPlan:
             raise ValueError("resamples must be >= 1")
         if self.delta_ops < 0 or self.delta_ns < 0:
             raise ValueError("deltas must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.synthetic_gamma is not None and not np.isfinite(self.synthetic_gamma):
             raise ValueError(f"synthetic gamma must be finite, got {self.synthetic_gamma}")
 
@@ -136,7 +137,6 @@ class TunerReport:
     per_workload_grids: dict[str, F1Grid]
     average_grid: F1Grid
     selection: SelectionResult
-    wall_time_seconds: float
 
 
 def _f1_score(tp: int, fp: int, fn: int) -> float:
@@ -179,9 +179,9 @@ def make_synthetic_pool(
 
 
 def pool_vms(plan: TunerPlan) -> int:
-    """VMs in a recorded or synthetic pool: at least twice the largest grid
-    value, so no cell's resampling round draws the whole pool."""
-    return max(plan.max_vms, 2 * max(plan.vm_grid))
+    """VMs in a recorded or synthetic pool: twice the largest grid value, so
+    a same-version trial of the largest cell draws two disjoint halves."""
+    return 2 * max(plan.vm_grid)
 
 
 def _pool_specs(plan: TunerPlan, kind: WorkloadKind) -> tuple[WorkloadSpec, WorkloadSpec]:
@@ -376,7 +376,6 @@ def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
     Synthetic pools do not depend on the workload kind, so one grid is
     scored and every kind gets it.
     """
-    started = time.perf_counter()
     if plan.synthetic_gamma is not None:
         pools = {
             repetitions: make_synthetic_pool(
@@ -406,14 +405,9 @@ def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
         per_workload_grids=per_workload,
         average_grid=average,
         selection=selection,
-        wall_time_seconds=time.perf_counter() - started,
     )
 
 
 def report_to_document(report: TunerReport) -> dict:
-    """JSON-ready view of a report: its plan and selection.
-
-    Wall time is left out so report files are byte-identical across reruns
-    with the same seed.
-    """
+    """JSON-ready view of a report: its plan and selection."""
     return {"plan": to_document(report.plan), "selection": to_document(report.selection)}

@@ -39,10 +39,6 @@ RECORD_BYTES = sys.getsizeof([0, 0, 0]) + 8
 MEM_BUDGET_ENV_VAR = "PERFDELTA_MEM_BUDGET_BYTES"
 
 
-class MemoryBudgetError(ValueError):
-    """An allocate workload would exceed the configured memory budget."""
-
-
 class SplitMix64:
     """64-bit shift-based PRNG; see the module docstring for the recurrence."""
 
@@ -121,10 +117,6 @@ class AddWorkload(WorkloadInstance):
         self._rng = SplitMix64(spec.seed)
         self._sum = 0
 
-    @property
-    def sink_value(self) -> int:
-        return self._sum
-
     def _run(self, n: int) -> None:
         self._add_draws(n * self.spec.size)
 
@@ -150,10 +142,6 @@ class AllocateWorkload(WorkloadInstance):
         super().__init__(spec)
         self._records: list[list[int]] = []
 
-    @property
-    def record_count(self) -> int:
-        return len(self._records)
-
     def _run(self, n: int) -> None:
         append = self._records.append
         for _ in range(n * self.spec.size):
@@ -174,10 +162,6 @@ class WriteWorkload(WorkloadInstance):
         self._count = 0
         self._writer = io.StringIO()
 
-    @property
-    def written_count(self) -> int:
-        return self._count
-
     def _run(self, n: int) -> None:
         write = self._writer.write
         size = self.spec.size
@@ -193,14 +177,12 @@ class WriteWorkload(WorkloadInstance):
         self._writer = io.StringIO()
 
 
+_INSTANCES = {WorkloadKind.ADD: AddWorkload, WorkloadKind.ALLOCATE: AllocateWorkload,
+              WorkloadKind.WRITE: WriteWorkload}
+
+
 def create_instance(spec: WorkloadSpec) -> WorkloadInstance:
-    if spec.kind is WorkloadKind.ADD:
-        return AddWorkload(spec)
-    if spec.kind is WorkloadKind.ALLOCATE:
-        return AllocateWorkload(spec)
-    if spec.kind is WorkloadKind.WRITE:
-        return WriteWorkload(spec)
-    raise ValueError(f"unknown workload kind: {spec.kind}")
+    return _INSTANCES[spec.kind](spec)
 
 
 def _physical_ram_bytes() -> int:
@@ -211,11 +193,15 @@ def _physical_ram_bytes() -> int:
 
 
 def default_memory_budget() -> int:
-    """25 % of physical RAM, overridable via PERFDELTA_MEM_BUDGET_BYTES."""
+    """25 % of physical RAM, overridable via PERFDELTA_MEM_BUDGET_BYTES, which
+    must then be a positive integer in digits."""
     override = os.environ.get(MEM_BUDGET_ENV_VAR)
-    if override:
-        return int(override)
-    return _physical_ram_bytes() // 4
+    if not override:
+        return _physical_ram_bytes() // 4
+    if not (override.isascii() and override.isdigit() and int(override) > 0):
+        raise ValueError(f"{MEM_BUDGET_ENV_VAR} must be a positive integer "
+                         f"number of bytes, got {override!r}")
+    return int(override)
 
 
 def check_memory_budget(
@@ -232,7 +218,7 @@ def check_memory_budget(
         budget_bytes = default_memory_budget()
     needed = spec.size * repetitions * RECORD_BYTES
     if needed > budget_bytes:
-        raise MemoryBudgetError(
+        raise ValueError(
             f"allocate workload needs ~{needed} bytes a window "
             f"(size={spec.size} x repetitions={repetitions} x {RECORD_BYTES} B/record) "
             f"but the budget is {budget_bytes} bytes"

@@ -86,6 +86,21 @@ def test_measure_allocate_budget_refusal(tmp_path):
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e9", "0", "-5"])
+def test_a_malformed_memory_budget_is_named_before_any_start(tmp_path, monkeypatch, budget):
+    launches = record_launches(monkeypatch)
+    out = tmp_path / "f.json"
+    result = invoke([
+        "measure", "--workload", "allocate", "--size", "10", "--vms", "2", "--warmup", "0",
+        "--iterations", "1", "--repetitions", "1", "--out", str(out),
+    ], env={"PERFDELTA_MEM_BUDGET_BYTES": budget})
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: PERFDELTA_MEM_BUDGET_BYTES must be a positive integer "
+                             f"number of bytes, got {budget!r}\n")
+    assert launches == []
+    assert not out.exists()
+
+
 # --- compare ---------------------------------------------------------------
 
 
@@ -284,11 +299,13 @@ def test_tune_matches_golden_files(tmp_path, test):
 
 
 def test_tune_rejects_malformed_synthetic(tmp_path):
-    result = invoke([
-        "tune", "--workload", "add", "--synthetic", "3",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert result.exit_code == 2
+    for value in ("3", "gamma=abc"):
+        result = invoke([
+            "tune", "--workload", "add", "--synthetic", value,
+            "--out", str(tmp_path / "x"),
+        ])
+        assert result.exit_code == 2
+        assert result.stderr.endswith(f"expected gamma=<value>, got {value!r}\n")
 
 
 def test_tune_refuses_an_over_budget_pool_before_recording_any(tmp_path, monkeypatch):
@@ -456,6 +473,10 @@ MISSING_DIR_OUT = ["--out", "missing/x.json"]
      "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "5"],
     ["tune", "--workload", "add", "--size", "10", "--vm-grid", "2", "--iteration-grid", "1",
      "--repetitions-grid", "1,1", "--resamples", "5"],
+    *(["tune", "--workload", "add", "--synthetic", "gamma=1", "--vm-grid", "2",
+       "--iteration-grid", "1", "--repetitions-grid", "1", "--resamples", "1", "--seed", seed]
+      for seed in ("-1", str(2**64))),
+    ["tune", "--workload", "add", "--synthetic", "gamma=abc"],
     *([*BUDGET, "--gamma", "0.5", flag, value, other, "1"]
       for flag, other in (("--seconds-per-vm", "--budget"), ("--budget", "--seconds-per-vm"))
       for value in ("nan", "inf", "0", "-1")),
@@ -467,7 +488,8 @@ MISSING_DIR_OUT = ["--out", "missing/x.json"]
         "curve-nan-gamma", "tune-nan-gamma", "power-parallel", "inject-parallel",
         "measure-gc", "power-tiny-gamma", "power-huge-vms", "measure-out-missing-dir",
         "inject-out-missing-dir", "sweep-out-missing-dir", "curve-out-missing-dir",
-        "tune-repeated-workload", "tune-repeated-repetitions",
+        "tune-repeated-workload", "tune-repeated-repetitions", "tune-negative-seed",
+        "tune-seed-2**64", "tune-unparsable-gamma",
         *(f"power-{flag}-{value}" for flag in ("seconds-per-vm", "budget")
           for value in ("nan", "inf", "0", "-1"))])
 def test_invalid_values_exit_with_validation_code(tmp_path, monkeypatch, args):

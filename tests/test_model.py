@@ -14,6 +14,7 @@ from perfdelta.model import (
     MeasurementConfig,
     MeasurementSeries,
     SchemaError,
+    StatTest,
     VmRun,
     WorkloadKind,
     WorkloadSpec,
@@ -47,6 +48,19 @@ def test_workload_invariants():
 def test_decision_invariants():
     with pytest.raises(SchemaError, match="alpha"):
         DecisionConfig(alpha=0.0)
+
+
+def test_enum_fields_hold_members_from_construction():
+    """A kind or test given by its value is stored as its enum member; an
+    unknown value is refused, naming its field."""
+    assert WorkloadSpec(kind="write", size=1).kind is WorkloadKind.WRITE
+    assert WorkloadSpec(kind="write", size=1) == WorkloadSpec(kind=WorkloadKind.WRITE, size=1)
+    assert DecisionConfig(test="t") == DecisionConfig(test=StatTest.WELCH_T)
+    for build, path in ((lambda: WorkloadSpec(kind="divide", size=1), "workload.kind"),
+                        (lambda: DecisionConfig(test="z"), "decision.test")):
+        with pytest.raises(SchemaError) as excinfo:
+            build()
+        assert excinfo.value.path == path
 
 
 def test_series_shape_enforced():

@@ -15,14 +15,12 @@ from conftest import make_series
 from perfdelta.model import DecisionConfig, StatTest, serialize_series
 from perfdelta.stats import (
     EXACT_MANN_WHITNEY_LIMIT,
-    StatsError,
     _log_beta,
     _t_sf,
     _tie_free_p,
     _u_counts,
     decide,
     mann_whitney_approx_p,
-    mann_whitney_exact_p,
     normal_cdf,
     normal_quantile,
     per_vm_means,
@@ -81,7 +79,7 @@ def test_per_vm_means_refuses_totals_a_float64_sum_would_round():
 
 
 def test_summarize_single_vm_rejected():
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="at least 2 VMs"):
         summarize(make_series([[1, 2, 3]]))
 
 
@@ -184,7 +182,7 @@ def test_degenerate_equal_constant_samples():
 
 
 def test_too_small_samples_rejected():
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="at least 2 values per sample"):
         decide([1.0], [1.0, 2.0], MW)
 
 
@@ -242,7 +240,7 @@ def test_exact_vs_approx_consistency_band():
         new = [float(v) for v in values[n1:]]
         u1 = _u1(old, new)
         u_max = max(u1, n1 * n2 - u1)
-        exact = mann_whitney_exact_p(u_max, n1, n2)
+        exact = _tie_free_p(n1, n2)[int(u_max)]
         approx = mann_whitney_approx_p(u_max, n1, n2)
         worst = max(worst, abs(exact - approx))
     assert worst <= 0.02
@@ -282,20 +280,18 @@ def test_tie_free_table_matches_the_rank_sum_recurrence_bit_for_bit():
 
 
 def test_exact_p_looks_up_every_u_max_as_the_recurrence_did():
-    """A non-integer u_max rounds up, one below the midpoint gives 1.0, and
-    one outside 0..n1 * n2 is not wrapped round the table."""
+    """Every u_max in 0..n1 * n2 looks up the recurrence's p-value, one below
+    the midpoint gives 1.0, and sizes whose counts int64 could wrap are
+    refused."""
     for n1, n2 in ((1, 1), (2, 5), (4, 4), (6, 7), (3, 11), (7, 7)):
-        top = n1 * n2
-        for u_max in np.arange(-2.0, top + 2.5, 0.5).tolist():
-            got = mann_whitney_exact_p(u_max, n1, n2)
+        table = _tie_free_p(n1, n2)
+        assert len(table) == n1 * n2 + 1
+        for u_max, got in enumerate(table.tolist()):
             assert got == oracles.mann_whitney_exact_p_by_rank_sums(u_max, n1, n2)
-            assert got == mann_whitney_exact_p(math.ceil(u_max), n1, n2)
-            if u_max < top / 2:
+            if u_max < n1 * n2 / 2:
                 assert got == 1.0
-        assert mann_whitney_exact_p(-1, n1, n2) == 1.0
-        assert mann_whitney_exact_p(top + 1, n1, n2) == 0.0
-    with pytest.raises(StatsError, match="n1 \\+ n2 <= 66"):
-        mann_whitney_exact_p(600, 34, 33)  # int64 counts could wrap
+    with pytest.raises(ValueError, match="n1 \\+ n2 <= 66"):
+        _tie_free_p(34, 33)  # int64 counts could wrap
 
 
 def test_mann_whitney_far_tail_keeps_its_digits():
@@ -441,7 +437,7 @@ def test_mann_whitney_mixed_small_rows_decide_as_their_own_calls():
         assert batched.statistic[i] == one.statistic
         if tie_free[i]:
             u_max = 36 - one.statistic
-            assert one.p_value == mann_whitney_exact_p(u_max, 6, 6)
+            assert one.p_value == _tie_free_p(6, 6)[int(u_max)]
 
 
 def test_a_column_major_batch_decides_as_its_rows():
@@ -469,10 +465,17 @@ def test_null_rate_stays_near_alpha(test, n):
         assert abs(share - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / rows), share
 
 
+def test_decide_takes_a_test_given_by_its_value():
+    old, new = [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 9.0]
+    for test in StatTest:
+        by_value = DecisionConfig(test=test.value, alpha=0.05)
+        assert decide(old, new, by_value) == decide(old, new, DecisionConfig(test, 0.05))
+
+
 def test_decide_rejects_mismatched_or_short_batches():
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="two batches of R rows"):
         decide(np.ones((3, 4)), np.ones((2, 4)), WELCH)
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="at least 2 values per sample"):
         decide(np.ones((3, 1)), np.ones((3, 4)), WELCH)
 
 
@@ -543,9 +546,9 @@ def test_normal_cdf_accuracy():
 def test_t_quantile_basics():
     # t with huge df approaches the normal quantile.
     assert t_quantile(0.995, 10**7) == pytest.approx(normal_quantile(0.995), abs=1e-4)
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="t_quantile requires p in"):
         t_quantile(1.5, 10)
-    with pytest.raises(StatsError):
+    with pytest.raises(ValueError, match="normal_quantile requires p in"):
         normal_quantile(0.0)
 
 

@@ -76,6 +76,13 @@ def test_plan_invariants():
                            ("repetitions_grid", (5, 5))):
         with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
             small_plan(**{name: repeated})
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            small_plan(seed=seed)
+    assert small_plan(workload_kinds=("add", "write")).workload_kinds == (
+        WorkloadKind.ADD, WorkloadKind.WRITE)
+    with pytest.raises(ValueError, match="divide"):
+        small_plan(workload_kinds=("divide",))
 
 
 @pytest.mark.parametrize("grid,value", [
@@ -352,6 +359,12 @@ def test_selection_no_feasible_cell():
     assert result.cell.f1 == 0.9  # best found, for diagnostics
 
 
+def test_selection_of_an_empty_grid_is_infeasible():
+    result = select_configuration(F1Grid(cells=()))
+    assert (result.feasible, result.reason, result.config, result.cell) == (
+        False, "empty grid", None, None)
+
+
 def test_selection_monotonicity_rule_excludes_unstable_cell():
     grid = F1Grid(cells=(
         cell(10, 10, 100, 0.995),
@@ -443,3 +456,16 @@ def test_synthetic_plan_scores_one_grid_for_every_kind(monkeypatch):
     assert len(calls) == one_calls == 4
     assert two.per_workload_grids["write"] == two.per_workload_grids["add"]
     assert two.per_workload_grids["add"] == one.per_workload_grids["add"]
+
+
+def test_synthetic_pools_hold_twice_the_largest_grid_value(monkeypatch):
+    """A pool's size follows the VM grid alone, not a larger ``max_vms``."""
+    drawn = []
+
+    def recording(**kwargs):
+        drawn.append(kwargs["vms"])
+        return make_synthetic_pool(**kwargs)
+
+    monkeypatch.setattr(tuner, "make_synthetic_pool", recording)
+    tune(small_plan(max_vms=50, vm_grid=(2, 3)))
+    assert drawn == [6]

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import hardware_gated
 from oracles import ScalarSplitMix64
+from perfdelta import workloads
 from perfdelta.model import WorkloadKind, WorkloadSpec
 from perfdelta.workloads import (
     RECORD_BYTES,
-    MemoryBudgetError,
     SplitMix64,
     busy_wait_ns,
     check_memory_budget,
@@ -48,7 +48,7 @@ def test_add_sum_deterministic():
     for _ in range(2):  # independent instances reproduce the identical sum
         inst = create_instance(spec(WorkloadKind.ADD, 4, seed=99))
         inst.run_repetitions(1)
-        assert inst.sink_value == expected
+        assert inst._sum == expected
 
 
 def test_add_delay_path_matches_fast_path():
@@ -56,33 +56,33 @@ def test_add_delay_path_matches_fast_path():
     slow = create_instance(spec(WorkloadKind.ADD, 50, seed=5, injected_delay_ns=1))
     fast.run_repetitions(1)
     slow.run_repetitions(1)
-    assert fast.sink_value == slow.sink_value
+    assert fast._sum == slow._sum
 
 
 def test_allocate_retains_then_drains():
     inst = create_instance(spec(WorkloadKind.ALLOCATE, 7))
     inst.run_repetitions(1)
     inst.run_repetitions(1)
-    assert inst.record_count == 14
+    assert len(inst._records) == 14
     inst.drain()
-    assert inst.record_count == 0
+    assert len(inst._records) == 0
     inst.drain()  # idempotent
-    assert inst.record_count == 0
+    assert len(inst._records) == 0
 
 
 def test_write_counts_and_drains():
     inst = create_instance(spec(WorkloadKind.WRITE, 5, seed=3))
     inst.run_repetitions(1)
-    assert inst.written_count == 5
+    assert inst._count == 5
     inst.drain()
-    assert inst.written_count == 0
+    assert inst._count == 0
 
 
 def test_run_repetitions_equals_loop():
     state = {
-        WorkloadKind.ADD: lambda inst: inst.sink_value,
-        WorkloadKind.ALLOCATE: lambda inst: inst.record_count,
-        WorkloadKind.WRITE: lambda inst: (inst.written_count, inst._writer.getvalue()),
+        WorkloadKind.ADD: lambda inst: inst._sum,
+        WorkloadKind.ALLOCATE: lambda inst: len(inst._records),
+        WorkloadKind.WRITE: lambda inst: (inst._count, inst._writer.getvalue()),
     }
     for kind, read in state.items():
         a = create_instance(spec(kind, 13, seed=8))
@@ -125,10 +125,25 @@ def test_subset_fraction_bounds_delay_targets():
 
 
 def test_memory_budget_rejects_oversized_allocate():
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(ValueError, match="but the budget is 1000000000 bytes"):
         check_memory_budget(
             spec(WorkloadKind.ALLOCATE, 10_000_000), repetitions=1000, budget_bytes=10**9
         )
+
+
+def test_memory_budget_checks_an_allocate_kind_given_by_its_value():
+    with pytest.raises(ValueError, match="but the budget is 1000 bytes"):
+        check_memory_budget(WorkloadSpec(kind="allocate", size=10**12), 10**6, budget_bytes=1000)
+
+
+def test_default_budget_is_a_quarter_of_8_gib_when_the_os_hides_ram(monkeypatch):
+    def hidden(name):
+        raise ValueError(f"unknown sysconf name {name}")
+
+    monkeypatch.setattr(workloads.os, "sysconf", hidden)
+    monkeypatch.delenv("PERFDELTA_MEM_BUDGET_BYTES", raising=False)
+    assert workloads._physical_ram_bytes() == 8 * 1024**3
+    assert workloads.default_memory_budget() == 2 * 1024**3
 
 
 def test_memory_budget_ignores_other_kinds():
@@ -138,7 +153,7 @@ def test_memory_budget_ignores_other_kinds():
 
 def test_memory_budget_env_override(monkeypatch):
     monkeypatch.setenv("PERFDELTA_MEM_BUDGET_BYTES", "1000")
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(ValueError, match="but the budget is 1000 bytes"):
         check_memory_budget(spec(WorkloadKind.ALLOCATE, 100), repetitions=10)
 
 
@@ -146,7 +161,7 @@ def test_memory_budget_bounds_one_window():
     # 300 x 20,000 records hold ~0.58 GB a window; 300 x 100,000 hold ~2.9 GB.
     allocate = spec(WorkloadKind.ALLOCATE, 300)
     check_memory_budget(allocate, repetitions=20_000, budget_bytes=700_000_000)
-    with pytest.raises(MemoryBudgetError, match="repetitions=100000"):
+    with pytest.raises(ValueError, match="repetitions=100000"):
         check_memory_budget(allocate, repetitions=100_000, budget_bytes=2_100_000_000)
 
 
