@@ -22,6 +22,8 @@ the continued fraction then iterates only over the elements that have not yet
 converged (dropping the converged ones whenever they are half of its arrays),
 each element stopping at its own convergence.  Each element does exactly its
 own arithmetic, so a batched row decides exactly as its own 1-D call would.
+p is a 1-D quantity: a batch returns none, and Welch decides its rows by the
+cached critical values, taking the tail only for rows it cannot place.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ EXACT_MANN_WHITNEY_LIMIT = 14
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of a two-sample change decision: Python scalars for one pair of
-    samples, length-R arrays (one entry per row) for a batch of R pairs.
+    samples, length-R arrays (one entry per row) for a batch of R pairs,
+    whose ``p_value`` is None: p is a 1-D quantity, and a Welch batch is
+    decided by critical values.
 
     ``effect_size`` is the mean difference old - new over the pooled sample
     standard deviation, so positive means the new version is faster.
@@ -53,7 +57,7 @@ class TestOutcome:
     changed: bool | np.ndarray
     test: StatTest
     statistic: float | np.ndarray
-    p_value: float | np.ndarray | None
+    p_value: float | None
     effect_size: float | np.ndarray
     n_old: int | np.ndarray
     n_new: int | np.ndarray
@@ -306,15 +310,28 @@ def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndar
 # --- Welch -----------------------------------------------------------------
 
 
-def _welch(diff, v1, n1, v2, n2) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: t (0 for equal means, ±inf for two constant samples) and p."""
+def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: t (0 for equal means, ±inf for two constant samples) and p.
+    Given ``alpha``, a row clear of the critical values at k = ⌊df⌋ and k + 1
+    (c falls as df grows) takes p = 0 or 1; the rest, and any df outside
+    Welch's bounds [1, n1 + n2), take the tail."""
     a, b = v1 / n1, v2 / n2
     se_sq = a + b
     t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
     df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))
     p = np.where(diff == 0, 1.0, 0.0)
     live = (diff != 0) & (se_sq != 0)
-    p[live] = 2.0 * _t_sf(np.abs(t[live]), df[live])
+    if alpha is not None:
+        rows = np.flatnonzero(live & (df >= 1) & (df < n1 + n2))
+        levels, at = np.unique(np.floor(df[rows]), return_inverse=True)
+        c = np.array([[t_quantile(1.0 - alpha / 2.0, k + j) for j in (0, 1)]
+                      for k in levels.tolist()]).reshape(-1, 2)[at]
+        size = np.abs(t[rows])
+        below = size < c[:, 1] * (1 - 1e-9)  # ten times t_quantile's tested error
+        p[rows[below]] = 1.0
+        live[rows[below | (size > c[:, 0] * (1 + 1e-9))]] = False
+    if live.any():
+        p[live] = 2.0 * _t_sf(np.abs(t[live]), df[live])
     return t, p
 
 
@@ -337,8 +354,9 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
 
     Samples run along the last axis.  Two 1-D samples give one decision in
     Python scalars; two (R, n) batches give R decisions, one a row, with each
-    per-row field a length-R array.  Every shape runs the same code, so a
-    batched row decides exactly as its own 1-D call would.
+    per-row field a length-R array and no p-values.  A batched row decides
+    exactly as its own 1-D call would: Welch screens a batch by critical
+    values, and every other step is the same code for every shape.
     """
     # C order: numpy sums a contiguous row pairwise, as it does a 1-D sample.
     old = np.ascontiguousarray(old, dtype=np.float64)
@@ -359,7 +377,7 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
         pooled = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
         effect = np.where((diff == 0) & (pooled == 0), 0.0, diff / pooled)
         if decision.test is StatTest.WELCH_T:
-            statistic, p = _welch(diff, v1, n1, v2, n2)
+            statistic, p = _welch(diff, v1, n1, v2, n2, None if single else decision.alpha)
         elif decision.test is StatTest.MANN_WHITNEY:
             statistic, p = _mann_whitney(old, new)
         else:
@@ -370,6 +388,6 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
             changed=bool(changed[0]), test=decision.test, statistic=float(statistic[0]),
             p_value=None if p is None else float(p[0]), effect_size=float(effect[0]),
             n_old=n1, n_new=n2)
-    return TestOutcome(changed=changed, test=decision.test, statistic=statistic, p_value=p,
+    return TestOutcome(changed=changed, test=decision.test, statistic=statistic, p_value=None,
                        effect_size=effect, n_old=np.full(len(old), n1),
                        n_new=np.full(len(new), n2))

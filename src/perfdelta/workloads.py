@@ -211,11 +211,13 @@ def check_memory_budget(
 
     A window retains ``spec.size * repetitions`` records of RECORD_BYTES each
     until the drain after it, so the bound does not grow with iterations.
+    The default budget is read for every kind, so a malformed override is
+    refused whatever the workload.
     """
-    if spec.kind is not WorkloadKind.ALLOCATE:
-        return
     if budget_bytes is None:
         budget_bytes = default_memory_budget()
+    if spec.kind is not WorkloadKind.ALLOCATE:
+        return
     needed = spec.size * repetitions * RECORD_BYTES
     if needed > budget_bytes:
         raise ValueError(

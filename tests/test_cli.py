@@ -88,17 +88,19 @@ def test_measure_allocate_budget_refusal(tmp_path):
 
 @pytest.mark.parametrize("budget", ["abc", "1e9", "0", "-5"])
 def test_a_malformed_memory_budget_is_named_before_any_start(tmp_path, monkeypatch, budget):
+    """Every kind reads the budget, although only allocate is charged against it."""
     launches = record_launches(monkeypatch)
-    out = tmp_path / "f.json"
-    result = invoke([
-        "measure", "--workload", "allocate", "--size", "10", "--vms", "2", "--warmup", "0",
-        "--iterations", "1", "--repetitions", "1", "--out", str(out),
-    ], env={"PERFDELTA_MEM_BUDGET_BYTES": budget})
-    assert result.exit_code == 2
-    assert result.stderr == (f"error: PERFDELTA_MEM_BUDGET_BYTES must be a positive integer "
-                             f"number of bytes, got {budget!r}\n")
-    assert launches == []
-    assert not out.exists()
+    for kind in ("add", "allocate", "write"):
+        out = tmp_path / f"{kind}.json"
+        result = invoke([
+            "measure", "--workload", kind, "--size", "10", "--vms", "2", "--warmup", "0",
+            "--iterations", "1", "--repetitions", "1", "--out", str(out),
+        ], env={"PERFDELTA_MEM_BUDGET_BYTES": budget})
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: PERFDELTA_MEM_BUDGET_BYTES must be a positive "
+                                 f"integer number of bytes, got {budget!r}\n")
+        assert launches == []
+        assert not out.exists()
 
 
 # --- compare ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from perfdelta.model import DecisionConfig, StatTest, serialize_series
 from perfdelta.stats import (
     EXACT_MANN_WHITNEY_LIMIT,
     _log_beta,
+    _mean_and_variance,
     _t_sf,
     _tie_free_p,
     _u_counts,
@@ -386,7 +387,7 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
     old, new = batch
     decision = DecisionConfig(test=test, alpha=alpha)
     batched = decide(old, new, decision)
-    assert (batched.p_value is None) == (test is StatTest.CI_OVERLAP)
+    assert batched.p_value is None  # p is a 1-D quantity
     for i, (row_old, row_new) in enumerate(zip(old.tolist(), new.tolist())):
         one = decide(row_old, row_new, decision)
         assert type(one.changed) is bool and type(one.statistic) is float
@@ -394,9 +395,16 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
         assert batched.statistic[i] == one.statistic
         assert batched.effect_size[i] == one.effect_size
         assert (batched.n_old[i], batched.n_new[i]) == (one.n_old, one.n_new)
-        if one.p_value is not None:
-            assert batched.p_value[i] == pytest.approx(one.p_value, rel=1e-12)
         _check_row_against_oracles(row_old, row_new, one, test, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(1.0, 1e5)), min_size=1, max_size=40))
+def test_t_sf_over_an_array_equals_its_elementwise_calls(pairs):
+    """The tail a batch takes for its undecided Welch rows is, element by
+    element, the tail a 1-D call takes for its one row."""
+    x, df = np.array(pairs).T
+    assert _t_sf(x, df).tobytes() == np.array([_t_sf(a, b) for a, b in pairs]).tobytes()
 
 
 #: Few distinct values, so most draws are full of ties; signed zeros tie.
@@ -418,8 +426,8 @@ def test_mann_whitney_on_tie_heavy_samples_matches_oracles(old, new):
 
 def test_mann_whitney_mixed_small_rows_decide_as_their_own_calls():
     """At n1 = n2 = 6 a batch mixes tie-free rows, whose p comes from the
-    exact table, with tied rows, whose p is approximated: each row's p is its
-    own 1-D call's, and a tie-free row's is the exact one."""
+    exact table, with tied rows, whose p is approximated: each row decides as
+    its own 1-D call, and a tie-free row's 1-D p is the exact one."""
     assert 12 <= EXACT_MANN_WHITNEY_LIMIT
     rng = np.random.default_rng(6)
     old, new = rng.permutation(np.arange(48.0)).reshape(2, 4, 6)  # tie-free
@@ -433,7 +441,7 @@ def test_mann_whitney_mixed_small_rows_decide_as_their_own_calls():
     assert tie_free == [True, False] * 4
     for i, (row_old, row_new) in enumerate(zip(old.tolist(), new.tolist())):
         one = decide(row_old, row_new, MW)
-        assert batched.p_value[i] == one.p_value
+        assert batched.changed[i] == one.changed
         assert batched.statistic[i] == one.statistic
         if tie_free[i]:
             u_max = 36 - one.statistic
@@ -448,6 +456,74 @@ def test_a_column_major_batch_decides_as_its_rows():
     for i in range(len(old)):
         one = decide(old[i], new[i], WELCH)
         assert (batched.statistic[i], batched.effect_size[i]) == (one.statistic, one.effect_size)
+
+
+def _welch_rows_at_the_margins(h: float, n2: int, alpha: float):
+    """Welch rows of old [c - h, c + h] against n2 new values evenly spread
+    around 0, with |t| at the critical values c(k) and c(k + 1), k = ⌊df⌋,
+    at each times (1 ± 1e-9), and one ulp either side of all six.  h and the
+    new values fix the standard
+    error and df, so t moves with c alone; c steps an ulp at a time, and the
+    whole row is rescaled, keeping df, until every wanted t is met.  Returns
+    the old and new rows and their df."""
+    first_df = None
+    for scale in 1.0 + np.arange(64) / 64:
+        new = (np.arange(n2) - (n2 - 1) / 2.0) * scale
+        _, (v2,) = _mean_and_variance(new[None])
+        hs = h * scale
+        a, b = hs * hs, v2 / n2
+        df = (a + b) * (a + b) / (a * a + b * b / (n2 - 1))
+        first_df = df if first_df is None else first_df
+        if df != first_df:
+            continue
+        k = math.floor(df)
+        rows = []
+        for c in (t_quantile(1.0 - alpha / 2.0, k), t_quantile(1.0 - alpha / 2.0, k + 1)):
+            for target in (c * (1 + 1e-9), c, c * (1 - 1e-9)):
+                centre = target * math.sqrt(a + b)
+                cs = centre + np.spacing(centre) * np.arange(-40, 41)
+                old = np.stack((cs - hs, cs + hs), axis=1)
+                t = decide(old, np.tile(new, (len(cs), 1)), WELCH).statistic
+                rows += [old[t == want][:1] for want in
+                         (np.nextafter(target, 0.0), target, np.nextafter(target, np.inf))]
+        if all(len(row) for row in rows):
+            old = np.concatenate(rows)
+            return old, np.tile(new, (len(old), 1)), float(df)
+    raise AssertionError(f"no rows at the margins for h={h}, n2={n2}, alpha={alpha}")
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
+def test_batched_welch_rows_near_the_critical_values_decide_as_their_own_calls(alpha):
+    """A batch decides a Welch row by the critical values c(k) and c(k + 1),
+    k = ⌊df⌋, with a relative margin of 1e-9, and takes the exact tail only
+    for rows between them: rows at each margin and one ulp either side, at
+    integer df, at df rounded just below an integer and between integers,
+    and the rows the kernel special-cases or cannot screen, decide as their
+    own 1-D calls."""
+    decision = DecisionConfig(test=StatTest.WELCH_T, alpha=alpha)
+    groups, dfs = [], []
+    # h = 0 is a constant two-VM old side: df = n2 - 1, which rounds just
+    # below 7 at n2 = 8; h = 0.25 puts df between integers.
+    for h, n2 in ((0.0, 2), (0.0, 3), (0.0, 5), (0.0, 8), (0.0, 17), (0.25, 2),
+                  (0.25, 4), (0.25, 11), (0.25, 30)):
+        old, new, df = _welch_rows_at_the_margins(h, n2, alpha)
+        groups.append((old, new))
+        dfs.append(df)
+    assert dfs[:5] == [1.0, 2.0, 4.0, 7.0 - 2**-50, 16.0]
+    assert all(df != math.floor(df) for df in dfs[5:])
+    rng = np.random.default_rng(35)
+    groups.append(tuple(rng.integers(0, 100, size=(2, 300, 5)).astype(float)))
+    groups.append(tuple(rng.integers(0, 4, size=(2, 300, 5)).astype(float)))  # tied
+    groups.append((np.array([[1.0, 2, 3, 4, 5], [4] * 5, [4] * 5]),  # equal means,
+                   np.array([[3.0] * 5, [4] * 5, [6] * 5])))  # two constant samples
+    # Variances near the subnormal range: df is NaN, or 4.0 = n1 + n2 by rounding.
+    groups.append((np.array([[0.0, 1e-150], [0.0, 3.276263660093949e-81]]),
+                   np.array([[5.0, 5.0], [0.0, -2.4341457926331836e-81]])))
+    for old, new in groups:
+        batched = decide(old, new, decision)
+        assert batched.changed.tolist() == [decide(o, n, decision).changed
+                                            for o, n in zip(old, new)]
+        assert batched.p_value is None
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -599,6 +675,16 @@ def test_log_beta_is_symmetric_bit_for_bit(b):
     assert _log_beta(a, b_array).tobytes() == _log_beta(b_array, a).tobytes()
     assert _log_beta(a, b_array).tobytes() == _log_beta(a, b).tobytes()
     assert _log_beta(a, a[::-1]).tobytes() == _log_beta(a[::-1], a).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
+def test_t_quantile_is_accurate_to_a_tenth_of_the_screen_margin(alpha):
+    """A batch screens Welch rows by t_quantile(1 - alpha / 2, k) with a
+    relative margin of 1e-9, which holds only while the quantile is ten
+    times closer than that at every integer df it looks up."""
+    for df in range(1, 201):
+        assert t_quantile(1.0 - alpha / 2.0, df) == pytest.approx(
+            oracles.t_quantile_highprecision(1.0 - alpha / 2.0, df), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("df", [1, 2.5, 7, 30, 1000.5])
