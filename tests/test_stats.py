@@ -459,13 +459,12 @@ def test_a_column_major_batch_decides_as_its_rows():
 
 
 def _welch_rows_at_the_margins(h: float, n2: int, alpha: float):
-    """Welch rows of old [c - h, c + h] against n2 new values evenly spread
+    """Welch rows of old [m - h, m + h] against n2 new values evenly spread
     around 0, with |t| at the critical values c(k) and c(k + 1), k = ⌊df⌋,
     at each times (1 ± 1e-9), and one ulp either side of all six.  h and the
-    new values fix the standard
-    error and df, so t moves with c alone; c steps an ulp at a time, and the
-    whole row is rescaled, keeping df, until every wanted t is met.  Returns
-    the old and new rows and their df."""
+    new values fix the standard error and df, so t moves with m alone; m
+    steps an ulp at a time, and the whole row is rescaled, keeping df, until
+    every wanted t is met.  Returns the old and new rows and their df."""
     first_df = None
     for scale in 1.0 + np.arange(64) / 64:
         new = (np.arange(n2) - (n2 - 1) / 2.0) * scale
@@ -481,9 +480,9 @@ def _welch_rows_at_the_margins(h: float, n2: int, alpha: float):
         for c in (t_quantile(1.0 - alpha / 2.0, k), t_quantile(1.0 - alpha / 2.0, k + 1)):
             for target in (c * (1 + 1e-9), c, c * (1 - 1e-9)):
                 centre = target * math.sqrt(a + b)
-                cs = centre + np.spacing(centre) * np.arange(-40, 41)
-                old = np.stack((cs - hs, cs + hs), axis=1)
-                t = decide(old, np.tile(new, (len(cs), 1)), WELCH).statistic
+                m = centre + np.spacing(centre) * np.arange(-40, 41)
+                old = np.stack((m - hs, m + hs), axis=1)
+                t = decide(old, np.tile(new, (len(m), 1)), WELCH).statistic
                 rows += [old[t == want][:1] for want in
                          (np.nextafter(target, 0.0), target, np.nextafter(target, np.inf))]
         if all(len(row) for row in rows):
