@@ -17,13 +17,11 @@ on them.
 so a batch of R sample pairs, such as the resampling trials of one tuner grid
 cell, is decided in one call.  Each test is one array expression over the
 rows: means and variances are two-pass numpy reductions, each row summed on
-its own.  log B(a, b) of a tail is taken once, before the symmetry swap, and
-the continued fraction then iterates only over the elements that have not yet
-converged (dropping the converged ones whenever they are half of its arrays),
-each element stopping at its own convergence.  Each element does exactly its
-own arithmetic, so a batched row decides exactly as its own 1-D call would.
-p is a 1-D quantity: a batch returns none, and Welch decides its rows by the
-cached critical values, taking the tail only for rows it cannot place.
+its own.  p is a 1-D quantity: a batch returns none, and Welch decides its
+rows by the cached critical values.  The Student-t tail is a scalar function,
+taken only by a 1-D call, by :func:`t_quantile` and by the few rows that the
+critical values cannot place, so a batched row decides exactly as its own
+1-D call would.
 """
 
 from __future__ import annotations
@@ -76,88 +74,60 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _mapped(function):
-    """A float function of one argument, over arrays: numpy has no lgamma or
-    erfc, so the math one is mapped over the values as Python floats."""
-    return lambda z: np.fromiter(map(function, np.ravel(z).tolist()), np.float64,
-                                 np.size(z)).reshape(np.shape(z))
+def _erfc(z) -> np.ndarray:
+    """erfc elementwise: numpy has none, so math's is mapped over the values
+    as Python floats."""
+    return np.fromiter(map(math.erfc, np.ravel(z).tolist()), np.float64,
+                       np.size(z)).reshape(np.shape(z))
 
 
-_lgamma, _erfc = _mapped(math.lgamma), _mapped(math.erfc)
-
-
-def _log_beta(a, b) -> np.ndarray:
-    """log B(a, b) elementwise, by Stirling's series once an argument reaches
-    100, where lgamma(large + small) - lgamma(large) starts to lose digits.
-    Symmetric in a and b, bit for bit: a scalar ``b`` takes one lgamma call."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    value = np.asarray(_lgamma(a) + _lgamma(b) - _lgamma(a + b))
-    large = np.maximum(a, b)
-    far = large >= 100.0
-    if far.any():
-        small, large = np.minimum(a, b)[far], large[far]
-        tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z
-                 for z in (large, large + small)]
-        value[far] = (_lgamma(small) + small - (large - 0.5) * np.log1p(small / large)
-                      - small * np.log(large + small) + tails[0] - tails[1])
-    return value
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), by Stirling's series once an argument reaches 100, where
+    lgamma(large + small) - lgamma(large) starts to lose digits.  Symmetric
+    in a and b, bit for bit."""
+    small, large = sorted((a, b))
+    if not large >= 100.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    tails = [(1 / 12 - (1 / 360 - 1 / (1260 * z * z)) / (z * z)) / z
+             for z in (large, large + small)]
+    return (math.lgamma(small) + small - (large - 0.5) * float(np.log1p(small / large))
+            - small * float(np.log(large + small)) + tails[0] - tails[1])
 
 
 @np.errstate(divide="ignore")  # a zero x or y takes log(0) = -inf
-def _betainc(a, b, x, y) -> np.ndarray:
-    """Regularized incomplete beta I_x(a, b) elementwise, with ``y`` = 1 - x
-    passed apart: Lentz's continued fraction below x = (a+1)/(a+b+2), where it
-    converges fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it.  An
-    element stops when its own fraction converges and does exactly its own
-    arithmetic, whatever the others do; converged elements leave the arrays
-    as the fraction goes."""
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with ``y`` = 1 - x passed
+    apart: Lentz's continued fraction below x = (a+1)/(a+b+2), where it
+    converges fast, and the symmetry I_x(a, b) = 1 - I_y(b, a) above it.
+    exp and the logs are numpy's, as in the array reference kernel: math's
+    differ from them in the last bits on some inputs."""
     log_beta = _log_beta(a, b)  # symmetric, so taken once, before the swap
-    swap = np.asarray(x > (a + 1.0) / (a + b + 2.0))
-    a, b, x, y = (np.where(swap, u, v) for u, v in ((b, a), (a, b), (y, x), (x, y)))
-    front = np.exp(a * np.log(x) + b * np.log(y) - log_beta) / a
-    a, b, x = a.ravel(), b.ravel(), x.ravel()
-    zero = x == 0.0
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    front = float(np.exp(a * float(np.log(x)) + b * float(np.log(y)) - log_beta)) / a
     # d and c are the ratios of successive convergents; 1e-300 stands in for
     # a zero one in Lentz's method.
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d[d == 0.0] = 1e-300
-    c, d = np.ones_like(x), 1.0 / d
-    # The arrays hold the elements ``live``; those still ``going`` have not
-    # converged, and ``result`` takes each fraction by element.
-    fraction, a2m, result = d, a, np.empty_like(x)
-    live, going = np.arange(x.size), np.ones(x.size, dtype=bool)
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
+    fraction, a2m = d, a
     for m in range(1, 100_000):  # about sqrt(a) steps are needed
-        a2m, grown = a2m + 2.0, fraction
+        a2m += 2.0
         for coefficient in (m * (b - m) * x / ((a2m - 1.0) * a2m),
                             -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))):
-            d = 1.0 + coefficient * d
-            d[d == 0.0] = 1e-300
-            d = 1.0 / d
-            c = 1.0 + coefficient / c
-            c[c == 0.0] = 1e-300
+            d = 1.0 / ((1.0 + coefficient * d) or 1e-300)
+            c = (1.0 + coefficient / c) or 1e-300
             delta = d * c
-            grown = grown * delta
-        fraction = np.where(going, grown, fraction)
-        going = going & (np.abs(delta - 1.0) >= 1e-15)  # a NaN element stops too
-        left = int(np.count_nonzero(going))
-        if 2 * left <= going.size:
-            result[live] = fraction
-            if not left:
-                break
-            # Drop converged elements down to a power-of-two length: numpy
-            # keeps freed small buffers by size, so a new length every step
-            # would raise peak memory.
-            keep = np.argsort(~going, kind="stable")[:1 << (left - 1).bit_length()]
-            live, a, b, x, a2m, c, d, fraction, going = (
-                v[keep] for v in (live, a, b, x, a2m, c, d, fraction, going))
-    else:
-        result[live] = fraction  # elements still going after the last step
-    value = np.where(zero, 0.0, front.ravel() * result).reshape(swap.shape)
-    return np.where(swap, 1.0 - value, value)
+            fraction *= delta
+        if not abs(delta - 1.0) >= 1e-15:  # a NaN stops too
+            break
+    value = 0.0 if x == 0.0 else front * fraction
+    return 1.0 - value if swap else value
 
 
-def _t_sf(x, df) -> np.ndarray:
-    """P(T > x) elementwise, for x >= 0 and Student's t with ``df`` degrees of freedom."""
+def _t_sf(x: float, df: float) -> float:
+    """P(T > x), for x >= 0 and Student's t with ``df`` degrees of freedom.
+    Tested against mpmath to 1e-10 relative for df from 1 to 13,000; above
+    df of about 1e9 it loses digits."""
     x2 = x * x
     # 1 - df/(df + x²) is passed as x²/(df + x²), so tiny tails stay exact.
     return 0.5 * _betainc(0.5 * df, 0.5, df / (df + x2), x2 / (df + x2))
@@ -167,16 +137,18 @@ def _t_sf(x, df) -> np.ndarray:
 def t_quantile(p: float, df: float) -> float:
     """The t with P(T <= t) = p, by Newton steps on log P(T > |t|) in log t,
     where the far tail is nearly straight.  They start from the normal
-    quantile, which is never further out, and bisect once past the root."""
+    quantile, which is never further out, and bisect once past the root.
+    Tested against mpmath to 1e-10 relative for df from 1 to 13,000; above
+    df of about 1e9 it loses digits with :func:`_t_sf`."""
     if not (0.0 < p < 1.0 and df >= 1):
         raise ValueError(f"t_quantile requires p in (0, 1) and df >= 1, got {p}, {df}")
     tail = min(p, 1.0 - p)  # 1 - p is exact when it is the smaller one
     if tail == 0.5:
         return 0.0
-    log_density0 = -0.5 * math.log(df) - float(_log_beta(0.5 * df, 0.5))
+    log_density0 = -0.5 * math.log(df) - _log_beta(0.5 * df, 0.5)
     t, lo, hi = -normal_quantile(tail), 0.0, math.inf
     for _ in range(60):  # rounding keeps steps from shrinking only near p = 0.5
-        sf = float(_t_sf(t, df))
+        sf = _t_sf(t, df)
         h = math.log(sf / tail)
         lo, hi = (t, hi) if h > 0.0 else (lo, t)
         step = h * sf / (t * math.exp(log_density0 - 0.5 * (df + 1.0) * math.log1p(t * t / df)))
@@ -330,8 +302,8 @@ def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
         below = size < c[:, 1] * (1 - 1e-9)  # ten times t_quantile's tested error
         p[rows[below]] = 1.0
         live[rows[below | (size > c[:, 0] * (1 + 1e-9))]] = False
-    if live.any():
-        p[live] = 2.0 * _t_sf(np.abs(t[live]), df[live])
+    p[live] = [2.0 * _t_sf(x, k) for x, k in zip(np.abs(t[live]).tolist(),
+                                                df[live].tolist())]
     return t, p
 
 

@@ -18,6 +18,7 @@ policy the harness applies when measuring for real: a VM's value is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .model import (
     MeasurementSeries,
     WorkloadKind,
     WorkloadSpec,
+    serialize_series,
     to_document,
 )
 from .stats import decide, per_vm_means, window_matrix
@@ -206,7 +208,6 @@ def record_pool(
     persisted under ``out_dir`` when given.
     """
     from .harness import CampaignError, run_paired_campaign
-    from .model import serialize_series
 
     max_i = max(plan.iteration_grid)
     base_spec, changed_spec = _pool_specs(plan, kind)
@@ -228,8 +229,6 @@ def record_pool(
                 exc.version,
             ) from exc
         if out_dir is not None:
-            from pathlib import Path
-
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             for label, series in (("base", base), ("changed", changed)):

@@ -172,10 +172,10 @@ def _t_tail(x, df):
 
 
 # --- reference Student-t tail kernel -----------------------------------------
-# ``stats._log_beta`` and ``stats._betainc`` as they were before the continued
-# fraction dropped converged elements and log B moved before the swap: every
-# element runs until the slowest one stops, and log B takes four lgamma
-# passes.  Each element does the same arithmetic either way.
+# The array kernel that the scalar ``stats._log_beta``, ``stats._betainc``
+# and ``stats._t_sf`` replaced: every element runs until the slowest one
+# stops, and log B takes four lgamma passes.  The scalar kernel does each
+# element's arithmetic as this one does, so it matches it bit for bit.
 
 
 def _mapped(function):

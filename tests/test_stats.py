@@ -401,10 +401,11 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(1.0, 1e5)), min_size=1, max_size=40))
 def test_t_sf_over_an_array_equals_its_elementwise_calls(pairs):
-    """The tail a batch takes for its undecided Welch rows is, element by
-    element, the tail a 1-D call takes for its one row."""
+    """The scalar tail that a batch's undecided Welch rows and a 1-D call
+    both take is, element by element, the array reference kernel's tail."""
     x, df = np.array(pairs).T
-    assert _t_sf(x, df).tobytes() == np.array([_t_sf(a, b) for a, b in pairs]).tobytes()
+    assert (np.array([_t_sf(a, b) for a, b in pairs]).tobytes()
+            == oracles.t_sf_whole_batch(x, df).tobytes())
 
 
 #: Few distinct values, so most draws are full of ties; signed zeros tie.
@@ -638,28 +639,19 @@ def test_t_sf_two_degrees_closed_form():
         assert _t_sf(x, 2) == pytest.approx(want, rel=1e-12)
 
 
-def test_t_sf_elements_do_not_depend_on_their_batch():
-    """Each element of the continued fraction stops at its own convergence,
-    after 1 to 58 steps here, so a tail computed among others is bit for
-    bit the tail computed alone."""
-    x, df = (grid.ravel() for grid in np.meshgrid(np.geomspace(1e-3, 1e3, 25),
-                                                  np.geomspace(1.0, 1e4, 25)))
-    assert _t_sf(x, df).tolist() == [float(_t_sf(a, b)) for a, b in zip(x, df)]
-
-
 def test_t_sf_equals_the_whole_batch_reference_kernel():
-    """The compacting continued fraction and the single log B pass do each
-    element's arithmetic as the whole-batch kernel in ``oracles`` does, so
-    every tail agrees bit for bit, Stirling's branch (df >= 200) included."""
+    """The scalar continued fraction and its single log B pass do each
+    element's arithmetic as the whole-batch array kernel in ``oracles``
+    does, so every tail agrees bit for bit, Stirling's branch (df >= 200)
+    included."""
     grid = np.meshgrid(np.geomspace(1e-3, 1e3, 25), np.geomspace(1.0, 1e4, 25))
     rng = np.random.default_rng(26)
     seeded = (rng.exponential(3.0, 20_000) * rng.choice([1e-3, 1.0, 30.0], 20_000),
               np.exp(rng.uniform(0.0, math.log(1e4), 20_000)))
     edges = np.meshgrid([0.0, 1e-300, 0.5, 40.0], [1.0, 1e6])
     for x, df in ([g.ravel() for g in grid], seeded, [e.ravel() for e in edges]):
-        assert _t_sf(x, df).tobytes() == oracles.t_sf_whole_batch(x, df).tobytes()
-        assert (_t_sf(x[0], df[0]).tobytes()
-                == oracles.t_sf_whole_batch(x[0], df[0]).tobytes())
+        tails = np.array([_t_sf(a, b) for a, b in zip(x.tolist(), df.tolist())])
+        assert tails.tobytes() == oracles.t_sf_whole_batch(x, df).tobytes()
 
 
 @pytest.mark.parametrize("b", [0.5, 7.0, 99.5, 100.0, 2500.0])
@@ -669,11 +661,9 @@ def test_log_beta_is_symmetric_bit_for_bit(b):
     threshold at 100."""
     a = np.concatenate((np.geomspace(0.5, 99.0, 40), [99.5, 100.0, 100.5],
                         np.geomspace(101.0, 1e5, 40)))
-    assert _log_beta(a, b).tobytes() == _log_beta(b, a).tobytes()
-    b_array = np.full_like(a, b)
-    assert _log_beta(a, b_array).tobytes() == _log_beta(b_array, a).tobytes()
-    assert _log_beta(a, b_array).tobytes() == _log_beta(a, b).tobytes()
-    assert _log_beta(a, a[::-1]).tobytes() == _log_beta(a[::-1], a).tobytes()
+    for u, v in zip(a.tolist(), a[::-1].tolist()):
+        assert _log_beta(u, b).hex() == _log_beta(b, u).hex()
+        assert _log_beta(u, v).hex() == _log_beta(v, u).hex()
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])

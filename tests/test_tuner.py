@@ -365,16 +365,20 @@ def test_selection_of_an_empty_grid_is_infeasible():
         False, "empty grid", None, None)
 
 
-def test_selection_monotonicity_rule_excludes_unstable_cell():
-    grid = F1Grid(cells=(
-        cell(10, 10, 100, 0.995),
-        cell(10, 20, 100, 0.95),  # large drop disqualifies the 10-iteration cell
-        cell(20, 10, 100, 0.995),
-        cell(20, 20, 100, 0.993),
-    ))
-    result = select_configuration(grid)
-    assert result.cell.vms == 20
-    assert result.cell.iterations == 10
+@pytest.mark.parametrize("cells, chosen", [
+    pytest.param((cell(10, 10, 100, 0.995),
+                  cell(10, 20, 100, 0.95),  # large drop disqualifies the 10-iteration cell
+                  cell(20, 10, 100, 0.995),
+                  cell(20, 20, 100, 0.993)), 2, id="unstable"),
+    # A drop at another VM or repetition count says nothing about a cell.
+    pytest.param((cell(10, 10, 100, 0.995), cell(20, 20, 100, 0.95)), 0, id="other-vms"),
+    pytest.param((cell(10, 10, 100, 0.995), cell(10, 20, 1000, 0.95)), 0,
+                 id="other-repetitions"),
+])
+def test_selection_monotonicity_rule_excludes_unstable_cell(cells, chosen):
+    result = select_configuration(F1Grid(cells=cells))
+    assert result.feasible
+    assert result.cell == cells[chosen]
 
 
 def test_selection_order_independent():
