@@ -13,11 +13,19 @@ A configuration with iteration count i consumes recorded windows 1..2i of
 each drawn VM and discards the first i as warmup, mirroring the equal-warmup
 policy the harness applies when measuring for real: a VM's value is
 :func:`stats.per_vm_means` over windows i+1..2i, as ``compare`` would take it.
+
+The trials are drawn once per plan, not once per cell: the trial rows depend
+on the seed, the pool's shape and the number of rounds only
+(:func:`_trial_rows`), and a cell of ``vms`` VMs takes their first columns.
+Every cell, repetitions value and workload kind is therefore scored on the
+same permutations (common random numbers), so the differences the selection
+rules compare carry little round noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +42,12 @@ from .model import (
 from .stats import decide, per_vm_means, window_matrix
 from .workloads import check_memory_budget
 
-#: Resampling noise at 10,000 rounds is ~±0.005 F1; the monotonicity rule
-#: tolerates dips up to this much.
+#: The monotonicity rule tolerates dips up to this much.  Cells that differ
+#: only in iterations share their trial rows, so the round noise of their F1
+#: difference is small: at 10,000 rounds, on one 60-VM synthetic pool at
+#: gamma 1 and 10 VMs, F1(20 iterations) - F1(10 iterations) had an sd over
+#: 12 seeds of 0.0014 (t), 0.0019 (mann-whitney) and 0.0007 (ci), against
+#: 0.006-0.010 with a draw of its own for each cell.
 MONOTONICITY_TOLERANCE = 0.005
 
 F1_THRESHOLD = 0.99
@@ -238,6 +250,28 @@ def record_pool(
     return pools
 
 
+@lru_cache(maxsize=1)
+def _trial_rows(
+    seed: int, n_base: int, n_changed: int, resamples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's trial rows for a pool of ``n_base`` and ``n_changed`` VMs.
+
+    Returns ``base``, shape (2 * resamples, n_base), and ``changed``, shape
+    (resamples, n_changed), each row a uniform random permutation of its
+    version's VMs (a row-wise argsort of uniforms); changed VM j reads
+    ``n_base + j``.  A cell of ``vms`` VMs takes the first ``vms`` (or
+    ``2 * vms``) columns, so cells of one plan are scored on common random
+    numbers.  The rows are read-only and held in the smallest unsigned type
+    that indexes both pools.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n_base, n_changed, resamples]))
+    dtype = np.min_scalar_type(n_base + n_changed)
+    base = rng.random((2 * resamples, n_base)).argsort(axis=1).astype(dtype)
+    changed = (rng.random((resamples, n_changed)).argsort(axis=1) + n_base).astype(dtype)
+    base.flags.writeable = changed.flags.writeable = False
+    return base, changed
+
+
 def estimate_f1(
     pool: MeasurementPool,
     vms: int,
@@ -253,8 +287,10 @@ def estimate_f1(
     same-version trial, the first ``2 * vms`` VMs of a random permutation of
     the base pool split in two halves.  The base pool must therefore hold at
     least ``2 * vms`` VMs, and ``2 * iterations`` windows for
-    :func:`per_vm_means`.  One generator per cell draws every permutation,
-    and all trials are decided by one batched :func:`decide` call: rows
+    :func:`per_vm_means`.  The permutations are the plan's one draw,
+    :func:`_trial_rows` of ``seed``, the pool's shape and ``resamples``: a
+    cell with other ``vms``, ``iterations`` or repetitions reads the same
+    rows.  All trials are decided by one batched :func:`decide` call: rows
     0..resamples-1 are the changed-pair trials, the rest the same-version ones.
     """
     n_base = pool.base.shape[0]
@@ -268,12 +304,9 @@ def estimate_f1(
     values = np.concatenate([per_vm_means(m, iterations, 2 * iterations, pool.repetitions)
                              for m in (pool.base, pool.changed)])
 
-    # Row-wise argsorts of uniforms are uniform random permutations.
-    rng = np.random.default_rng(np.random.SeedSequence([seed, vms, iterations, pool.repetitions]))
-    base = rng.random((2 * resamples, n_base)).argsort(axis=1)
-    changed = rng.random((resamples, n_changed)).argsort(axis=1)[:, :vms] + n_base
+    base, changed = _trial_rows(seed, n_base, n_changed, resamples)
     old_rows = base[:, :vms]
-    new_rows = np.concatenate((changed, base[resamples:, vms : 2 * vms]))
+    new_rows = np.concatenate((changed[:, :vms], base[resamples:, vms : 2 * vms]))
 
     flags = decide(values[old_rows], values[new_rows], decision).changed
     tp = int(flags[:resamples].sum())
