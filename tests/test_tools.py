@@ -49,7 +49,7 @@ def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path):
     change = _commit(repo, 1.0, "change")
 
     proc = subprocess.run([sys.executable, str(TOOLS / "bench_pr.py"), "--pr", "7",
-                           "--repo", str(repo), "--pairs", "3", "--workloads", "two"],
+                           "--repo", str(repo), "--pairs", "3"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((repo / "BENCH_7.json").read_text())
@@ -57,12 +57,14 @@ def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path):
     assert doc["commits"] == {"parent": parent, "change": change}
     assert set(doc["host"]) == {"cpus", "affinity", "platform", "machine", "python", "numpy"}
     assert (doc["run_seconds"], doc["seeds"]) == (0.5, [1, 2, 3])
-    # Untraced before traced; in each pair, which side runs first alternates.
-    assert [(r["trace"], r["pair"], r["side"]) for r in doc["runs"]] == [
-        (trace, pair, side) for trace in (0, 1) for pair in range(3)
+    # Workload by workload, untraced before traced; in each pair, which side
+    # runs first alternates.
+    assert [(r["workload"], r["trace"], r["pair"], r["side"]) for r in doc["runs"]] == [
+        (workload, trace, pair, side) for workload in ("one", "two") for trace in (0, 1)
+        for pair in range(3)
         for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent"))]
     first = doc["runs"][0]
-    assert first["command"] == [sys.executable, "perfbench/run.py", "--workload", "two",
+    assert first["command"] == [sys.executable, "perfbench/run.py", "--workload", "one",
                                 "--seed", "1", "--seconds", "0.5", "--trace", "0"]
     assert first["exit_code"] == 0
     assert first["last_line"]["metrics"]["op_ms"] == {"value": 3.0, "unit": "ms"}

@@ -298,7 +298,7 @@ def test_another_seed_draws_other_rows():
 
 #: Bound on the sd, over draw seeds, of F1(20 iterations) - F1(10 iterations)
 #: at one pool and 10 VMs.  Shared rows keep it well under the monotonicity
-#: tolerance; a draw per cell measured 0.006-0.010 here.
+#: tolerance; a draw per cell measured 0.006-0.010 on this pool.
 SHARED_DRAW_DIFFERENCE_SD_BOUND = tuner.MONOTONICITY_TOLERANCE / 2
 
 

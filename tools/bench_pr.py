@@ -1,7 +1,7 @@
 """Paired benchmark runs of a change against its parent, written to BENCH_<pr>.json.
 
     python3 tools/bench_pr.py --pr N [--change REV] [--parent REV] [--pairs P]
-        [--workloads a,b] [--repo DIR]
+        [--repo DIR]
 
 Both revisions are checked out with ``git worktree`` under a temporary
 directory, and the benchmark that ``BENCHMARK.json`` declares
@@ -113,9 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--parent", help="default: the change's first parent")
-    parser.add_argument("--pairs", type=int, default=5, choices=range(1, len(SEEDS) + 1),
-                        metavar=f"1..{len(SEEDS)}")
-    parser.add_argument("--workloads", help="comma-separated; default: every workload")
+    parser.add_argument("--pairs", type=int, default=len(SEEDS),
+                        choices=range(1, len(SEEDS) + 1), metavar=f"1..{len(SEEDS)}")
     parser.add_argument("--repo", type=Path, default=REPO)
     args = parser.parse_args(argv)
 
@@ -124,11 +123,6 @@ def main(argv=None) -> int:
     parent = git(repo, "rev-parse", "--verify", f"{args.parent or change + '~1'}^{{commit}}")
     bench = json.loads(git(repo, "show", f"{change}:BENCHMARK.json"))
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        unknown = set(args.workloads.split(",")) - set(workloads)
-        if unknown:
-            parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench.get("per_layer", [])}
     seconds = bench["run_seconds"]
 
