@@ -23,6 +23,13 @@ print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metr
 """
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _commit(repo: Path, op_ms: float, message: str) -> str:
     (repo / "perfbench" / "run.py").write_text(STUB_RUN.format(op_ms=op_ms))
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
@@ -32,7 +39,7 @@ def _commit(repo: Path, op_ms: float, message: str) -> str:
                           text=True).stdout.strip()
 
 
-def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path):
+def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
@@ -48,10 +55,9 @@ def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path):
     parent = _commit(repo, 2.0, "parent")
     change = _commit(repo, 1.0, "change")
 
-    proc = subprocess.run([sys.executable, str(TOOLS / "bench_pr.py"), "--pr", "7",
-                           "--repo", str(repo), "--pairs", "3"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    bench_pr = _load("bench_pr")
+    monkeypatch.setattr(bench_pr, "SEEDS", (1, 2, 3))
+    assert bench_pr.main(["--pr", "7", "--repo", str(repo)]) == 0
     doc = json.loads((repo / "BENCH_7.json").read_text())
 
     assert doc["commits"] == {"parent": parent, "change": change}
@@ -81,13 +87,6 @@ def test_bench_pr_writes_paired_runs_and_their_summary(tmp_path):
     listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"], check=True,
                             capture_output=True, text=True).stdout.splitlines()
     assert len(listed) == 1
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_mutant_names_one_line_of_the_program_and_existing_tests():

@@ -1,14 +1,14 @@
 """Paired benchmark runs of a change against its parent, written to BENCH_<pr>.json.
 
-    python3 tools/bench_pr.py --pr N [--change REV] [--parent REV] [--pairs P]
-        [--repo DIR]
+    python3 tools/bench_pr.py --pr N [--change REV] [--repo DIR]
 
-Both revisions are checked out with ``git worktree`` under a temporary
-directory, and the benchmark that ``BENCHMARK.json`` declares
-(``perfbench/run.py``) runs in each checkout unchanged.  For every workload,
-untraced and then traced, P pairs of runs alternate parent and change, the
-parent first in even pairs and the change first in odd ones; pair k runs
-both sides with ``SEEDS[k]`` for the file's ``run_seconds``.
+The change (default ``HEAD``) and its first parent are checked out with
+``git worktree`` under a temporary directory, and the benchmark that
+``BENCHMARK.json`` declares (``perfbench/run.py``) runs in each checkout
+unchanged.  For every workload, untraced and then traced, one pair of runs
+per entry of ``SEEDS`` alternates parent and change, the parent first in
+even pairs and the change first in odd ones; pair k runs both sides with
+``SEEDS[k]`` for the file's ``run_seconds``.
 ``BENCH_<N>.json`` at the root of the repository holds the commits, the
 host, every run's command and last line, and, per workload, trace mode and
 metric, each side's median and quartiles and the number of pairs in which
@@ -21,12 +21,13 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 #: One seed a pair, the same on both sides of it.
@@ -40,15 +41,13 @@ def git(repo: Path, *args: str) -> str:
 
 
 def host() -> dict:
-    import numpy
-
     return {
         "cpus": os.cpu_count(),
         "affinity": len(os.sched_getaffinity(0)),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
     }
 
 
@@ -71,11 +70,8 @@ def run_once(checkout: Path, command: list[str], timeout: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+    q1, median, q3 = (float(v) for v in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def metric_values(run: dict) -> dict:
@@ -112,15 +108,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--parent", help="default: the change's first parent")
-    parser.add_argument("--pairs", type=int, default=len(SEEDS),
-                        choices=range(1, len(SEEDS) + 1), metavar=f"1..{len(SEEDS)}")
     parser.add_argument("--repo", type=Path, default=REPO)
     args = parser.parse_args(argv)
 
     repo = args.repo.resolve()
     change = git(repo, "rev-parse", "--verify", f"{args.change}^{{commit}}")
-    parent = git(repo, "rev-parse", "--verify", f"{args.parent or change + '~1'}^{{commit}}")
+    parent = git(repo, "rev-parse", "--verify", f"{change}~1^{{commit}}")
     bench = json.loads(git(repo, "show", f"{change}:BENCHMARK.json"))
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench.get("per_layer", [])}
@@ -134,7 +127,7 @@ def main(argv=None) -> int:
                 git(repo, "worktree", "add", "--detach", str(checkouts[side]), rev)
             for workload in workloads:
                 for trace in TRACES:
-                    for pair, seed in enumerate(SEEDS[:args.pairs]):
+                    for pair, seed in enumerate(SEEDS):
                         for side in ("parent", "change")[::1 if pair % 2 == 0 else -1]:
                             command = [*bench["command"], "--workload", workload,
                                        "--seed", str(seed), "--seconds", str(seconds),
@@ -166,7 +159,7 @@ def main(argv=None) -> int:
         "commits": {"parent": parent, "change": change},
         "host": host(),
         "run_seconds": seconds,
-        "seeds": list(SEEDS[:args.pairs]),
+        "seeds": list(SEEDS),
         "order": "per workload and trace mode, pairs of runs, the parent first in even pairs",
         "summary": summary,
         "runs": runs,
