@@ -18,10 +18,10 @@ so a batch of R sample pairs, such as the resampling trials of one tuner grid
 cell, is decided in one call.  Each test is one array expression over the
 rows: means and variances are two-pass numpy reductions, each row summed on
 its own.  p is a 1-D quantity: a batch returns none, and Welch decides its
-rows by the cached critical values.  The Student-t tail is a scalar function,
-taken only by a 1-D call, by :func:`t_quantile` and by the few rows that the
-critical values cannot place, so a batched row decides exactly as its own
-1-D call would.
+rows by one list of critical values c(1)..c(n1 + n2), indexed by ⌊df⌋.  The
+Student-t tail is a scalar function, taken only by a 1-D call, by
+:func:`t_quantile` and by the few rows that the critical values cannot
+place, so a batched row decides exactly as its own 1-D call would.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class TestOutcome:
     """Result of a two-sample change decision: Python scalars for one pair of
     samples, length-R arrays (one entry per row) for a batch of R pairs,
     whose ``p_value`` is None: p is a 1-D quantity, and a Welch batch is
-    decided by critical values.
+    decided by critical values.  ``n_old`` and ``n_new`` are ints for both
+    shapes: every row of a batch has the same two sample sizes.
 
     ``effect_size`` is the mean difference old - new over the pooled sample
     standard deviation, so positive means the new version is faster.
@@ -57,8 +58,8 @@ class TestOutcome:
     statistic: float | np.ndarray
     p_value: float | None
     effect_size: float | np.ndarray
-    n_old: int | np.ndarray
-    n_new: int | np.ndarray
+    n_old: int
+    n_new: int
 
 
 # --- distribution helpers --------------------------------------------------
@@ -285,8 +286,9 @@ def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row: t (0 for equal means, ±inf for two constant samples) and p.
     Given ``alpha``, a row clear of the critical values at k = ⌊df⌋ and k + 1
-    (c falls as df grows) takes p = 0 or 1; the rest, and any df outside
-    Welch's bounds [1, n1 + n2), take the tail."""
+    (c falls as df grows), read from one list c(1)..c(n1 + n2), takes p = 0
+    or 1; the rest, and any df outside Welch's bounds [1, n1 + n2), take the
+    tail."""
     a, b = v1 / n1, v2 / n2
     se_sq = a + b
     t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
@@ -294,14 +296,12 @@ def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     p = np.where(diff == 0, 1.0, 0.0)
     live = (diff != 0) & (se_sq != 0)
     if alpha is not None:
+        c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2 + 1)])
         rows = np.flatnonzero(live & (df >= 1) & (df < n1 + n2))
-        levels, at = np.unique(np.floor(df[rows]), return_inverse=True)
-        c = np.array([[t_quantile(1.0 - alpha / 2.0, k + j) for j in (0, 1)]
-                      for k in levels.tolist()]).reshape(-1, 2)[at]
-        size = np.abs(t[rows])
-        below = size < c[:, 1] * (1 - 1e-9)  # ten times t_quantile's tested error
+        k, size = df[rows].astype(np.intp), np.abs(t[rows])  # k = ⌊df⌋, as df >= 1
+        below = size < c[k] * (1 - 1e-9)  # ten times t_quantile's tested error
         p[rows[below]] = 1.0
-        live[rows[below | (size > c[:, 0] * (1 + 1e-9))]] = False
+        live[rows[below | (size > c[k - 1] * (1 + 1e-9))]] = False
     p[live] = [2.0 * _t_sf(x, k) for x, k in zip(np.abs(t[live]).tolist(),
                                                 df[live].tolist())]
     return t, p
@@ -326,9 +326,10 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
 
     Samples run along the last axis.  Two 1-D samples give one decision in
     Python scalars; two (R, n) batches give R decisions, one a row, with each
-    per-row field a length-R array and no p-values.  A batched row decides
-    exactly as its own 1-D call would: Welch screens a batch by critical
-    values, and every other step is the same code for every shape.
+    per-row field a length-R array and no p-values; ``n_old`` and ``n_new``
+    are ints for both.  A batched row decides exactly as its own 1-D call
+    would: Welch screens a batch by critical values, and every other step is
+    the same code for every shape.
     """
     # C order: numpy sums a contiguous row pairwise, as it does a 1-D sample.
     old = np.ascontiguousarray(old, dtype=np.float64)
@@ -356,10 +357,7 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
             statistic, p = _ci_gap(m1, v1, n1, m2, v2, n2, decision.alpha), None
     changed = statistic > 0 if p is None else p < decision.alpha
     if single:
-        return TestOutcome(
-            changed=bool(changed[0]), test=decision.test, statistic=float(statistic[0]),
-            p_value=None if p is None else float(p[0]), effect_size=float(effect[0]),
-            n_old=n1, n_new=n2)
-    return TestOutcome(changed=changed, test=decision.test, statistic=statistic, p_value=None,
-                       effect_size=effect, n_old=np.full(len(old), n1),
-                       n_new=np.full(len(new), n2))
+        changed, statistic, effect = bool(changed[0]), float(statistic[0]), float(effect[0])
+    return TestOutcome(changed=changed, test=decision.test, statistic=statistic,
+                       p_value=float(p[0]) if single and p is not None else None,
+                       effect_size=effect, n_old=n1, n_new=n2)

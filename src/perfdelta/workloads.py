@@ -204,18 +204,16 @@ def default_memory_budget() -> int:
     return int(override)
 
 
-def check_memory_budget(
-    spec: WorkloadSpec, repetitions: int, budget_bytes: int | None = None
-) -> None:
-    """Reject an allocate workload whose one window would retain more than the budget.
+def check_memory_budget(spec: WorkloadSpec, repetitions: int) -> None:
+    """Reject an allocate workload whose one window would retain more than
+    :func:`default_memory_budget`.
 
     A window retains ``spec.size * repetitions`` records of RECORD_BYTES each
     until the drain after it, so the bound does not grow with iterations.
-    The default budget is read for every kind, so a malformed override is
-    refused whatever the workload.
+    The budget is read for every kind, so a malformed override is refused
+    whatever the workload.
     """
-    if budget_bytes is None:
-        budget_bytes = default_memory_budget()
+    budget_bytes = default_memory_budget()
     if spec.kind is not WorkloadKind.ALLOCATE:
         return
     needed = spec.size * repetitions * RECORD_BYTES

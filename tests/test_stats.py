@@ -265,6 +265,23 @@ def test_exact_matches_bruteforce_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("n1, n2, oracle", [
+    (7, 7, oracles.mann_whitney_exact_bruteforce),
+    (9, 6, oracles.mann_whitney_approx_p_highprecision),
+])
+def test_mann_whitney_is_exact_up_to_its_limit_and_approximate_above(n1, n2, oracle):
+    """Fully separated tie-free pairs on either side of the exact limit: at
+    n1 + n2 = 14 the exact p is 5.8e-4 and the approximation 2.2e-3, at 15
+    the exact p is 4.0e-4 and the approximation 1.8e-3, so alpha 0.001 tells
+    the two routes apart in a batch row as well as in a 1-D call's p."""
+    old, new = np.arange(n2, n1 + n2, dtype=float), np.arange(n2, dtype=float)
+    decision = DecisionConfig(test=StatTest.MANN_WHITNEY, alpha=0.001)
+    want = oracle(old.tolist(), new.tolist())
+    assert decide(old, new, decision).p_value == pytest.approx(want, rel=1e-12)
+    batched = decide(np.stack((old, old[::-1])), np.stack((new, new[::-1])), decision)
+    assert batched.changed.tolist() == [want < 0.001] * 2
+
+
 def test_tie_free_table_matches_the_rank_sum_recurrence_bit_for_bit():
     """The numpy count table holds the counts, and its p-values the very
     floats, of the pure-Python recurrence, for every n1, n2 <= 20.  The
@@ -388,13 +405,14 @@ def test_batched_rows_decide_as_their_one_dimensional_calls(batch, test, alpha):
     decision = DecisionConfig(test=test, alpha=alpha)
     batched = decide(old, new, decision)
     assert batched.p_value is None  # p is a 1-D quantity
+    assert type(batched.n_old) is type(batched.n_new) is int  # one pair of sizes a batch
     for i, (row_old, row_new) in enumerate(zip(old.tolist(), new.tolist())):
         one = decide(row_old, row_new, decision)
         assert type(one.changed) is bool and type(one.statistic) is float
         assert batched.changed[i] == one.changed
         assert batched.statistic[i] == one.statistic
         assert batched.effect_size[i] == one.effect_size
-        assert (batched.n_old[i], batched.n_new[i]) == (one.n_old, one.n_new)
+        assert (batched.n_old, batched.n_new) == (one.n_old, one.n_new)
         _check_row_against_oracles(row_old, row_new, one, test, alpha)
 
 
@@ -516,9 +534,16 @@ def test_batched_welch_rows_near_the_critical_values_decide_as_their_own_calls(a
     groups.append(tuple(rng.integers(0, 4, size=(2, 300, 5)).astype(float)))  # tied
     groups.append((np.array([[1.0, 2, 3, 4, 5], [4] * 5, [4] * 5]),  # equal means,
                    np.array([[3.0] * 5, [4] * 5, [6] * 5])))  # two constant samples
-    # Variances near the subnormal range: df is NaN, or 4.0 = n1 + n2 by rounding.
-    groups.append((np.array([[0.0, 1e-150], [0.0, 3.276263660093949e-81]]),
-                   np.array([[5.0, 5.0], [0.0, -2.4341457926331836e-81]])))
+    # Variances near the subnormal range, where rounding breaks Welch's bound
+    # df <= n1 + n2 - 2: df is NaN, 4.0 = n1 + n2, or 3.0 = n1 + n2 - 1, whose
+    # screen reads the last critical value, c(n1 + n2).
+    old = np.array([[0.0, 1e-150], [0.0, 3.276263660093949e-81], [0.0, 1.9629214156836413e-81]])
+    new = np.array([[5.0, 5.0], [0.0, -2.4341457926331836e-81], [0.0, -3.244356736879057e-81]])
+    a, b = (_mean_and_variance(x)[1] / 2 for x in (old, new))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal((a + b) * (a + b) / (a * a + b * b), [np.nan, 4.0, 3.0],
+                              equal_nan=True)
+    groups.append((old, new))
     for old, new in groups:
         batched = decide(old, new, decision)
         assert batched.changed.tolist() == [decide(o, n, decision).changed

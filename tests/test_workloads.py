@@ -9,6 +9,7 @@ from oracles import ScalarSplitMix64
 from perfdelta import workloads
 from perfdelta.model import WorkloadKind, WorkloadSpec
 from perfdelta.workloads import (
+    MEM_BUDGET_ENV_VAR,
     RECORD_BYTES,
     SplitMix64,
     busy_wait_ns,
@@ -124,16 +125,16 @@ def test_subset_fraction_bounds_delay_targets():
     assert create_instance(spec(WorkloadKind.ADD, 100, seed=2)).added_ns == 0
 
 
-def test_memory_budget_rejects_oversized_allocate():
+def test_memory_budget_rejects_oversized_allocate(monkeypatch):
+    monkeypatch.setenv(MEM_BUDGET_ENV_VAR, str(10**9))
     with pytest.raises(ValueError, match="but the budget is 1000000000 bytes"):
-        check_memory_budget(
-            spec(WorkloadKind.ALLOCATE, 10_000_000), repetitions=1000, budget_bytes=10**9
-        )
+        check_memory_budget(spec(WorkloadKind.ALLOCATE, 10_000_000), repetitions=1000)
 
 
-def test_memory_budget_checks_an_allocate_kind_given_by_its_value():
+def test_memory_budget_checks_an_allocate_kind_given_by_its_value(monkeypatch):
+    monkeypatch.setenv(MEM_BUDGET_ENV_VAR, "1000")
     with pytest.raises(ValueError, match="but the budget is 1000 bytes"):
-        check_memory_budget(WorkloadSpec(kind="allocate", size=10**12), 10**6, budget_bytes=1000)
+        check_memory_budget(WorkloadSpec(kind="allocate", size=10**12), 10**6)
 
 
 def test_default_budget_is_a_quarter_of_8_gib_when_the_os_hides_ram(monkeypatch):
@@ -146,9 +147,10 @@ def test_default_budget_is_a_quarter_of_8_gib_when_the_os_hides_ram(monkeypatch)
     assert workloads.default_memory_budget() == 2 * 1024**3
 
 
-def test_memory_budget_ignores_other_kinds():
+def test_memory_budget_ignores_other_kinds(monkeypatch):
+    monkeypatch.setenv(MEM_BUDGET_ENV_VAR, "1")
     for kind in (WorkloadKind.ADD, WorkloadKind.WRITE):
-        check_memory_budget(spec(kind, 10_000_000), repetitions=100_000, budget_bytes=1)
+        check_memory_budget(spec(kind, 10_000_000), repetitions=100_000)
 
 
 def test_memory_budget_env_override(monkeypatch):
@@ -157,12 +159,14 @@ def test_memory_budget_env_override(monkeypatch):
         check_memory_budget(spec(WorkloadKind.ALLOCATE, 100), repetitions=10)
 
 
-def test_memory_budget_bounds_one_window():
+def test_memory_budget_bounds_one_window(monkeypatch):
     # 300 x 20,000 records hold ~0.58 GB a window; 300 x 100,000 hold ~2.9 GB.
     allocate = spec(WorkloadKind.ALLOCATE, 300)
-    check_memory_budget(allocate, repetitions=20_000, budget_bytes=700_000_000)
+    monkeypatch.setenv(MEM_BUDGET_ENV_VAR, "700000000")
+    check_memory_budget(allocate, repetitions=20_000)
+    monkeypatch.setenv(MEM_BUDGET_ENV_VAR, "2100000000")
     with pytest.raises(ValueError, match="repetitions=100000"):
-        check_memory_budget(allocate, repetitions=100_000, budget_bytes=2_100_000_000)
+        check_memory_budget(allocate, repetitions=100_000)
 
 
 def test_record_bytes_is_what_an_allocate_window_retains():

@@ -42,9 +42,16 @@ HARNESS = "src/perfdelta/harness.py"
 
 MUTANTS = (
     # Kernels and models.
-    Mutant(STATS, "below = size < c[:, 1] * (1 - 1e-9)  # ten times t_quantile's tested error",
-           "below = size < c[:, 0] * (1 - 1e-9)", ("tests/test_stats.py",),
+    Mutant(STATS, "below = size < c[k] * (1 - 1e-9)  # ten times t_quantile's tested error",
+           "below = size < c[k - 1] * (1 - 1e-9)", ("tests/test_stats.py",),
            "the Welch screen's lower critical value taken at k, not k + 1"),
+    Mutant(STATS, "k, size = df[rows].astype(np.intp), np.abs(t[rows])  # k = ⌊df⌋, as df >= 1",
+           "k, size = np.ceil(df[rows]).astype(np.intp), np.abs(t[rows])",
+           ("tests/test_stats.py",), "the Welch screen indexed by ⌈df⌉, not ⌊df⌋"),
+    Mutant(STATS,
+           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2 + 1)])",
+           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2)])",
+           ("tests/test_stats.py",), "the critical values stopping at c(n1 + n2 - 1)"),
     Mutant(STATS, "z = (u_max - n1 * n2 / 2.0 - 0.5) / np.sqrt(variance)",
            "z = (u_max - n1 * n2 / 2.0 + 0.5) / np.sqrt(variance)", ("tests/test_stats.py",),
            "the continuity correction's sign"),
@@ -52,7 +59,9 @@ MUTANTS = (
            "return mean, (d * d).sum(axis=-1) / n", ("tests/test_stats.py",),
            "a variance over n, not n - 1"),
     Mutant(STATS, "EXACT_MANN_WHITNEY_LIMIT = 14", "EXACT_MANN_WHITNEY_LIMIT = 15",
-           ("tests/test_stats.py",), "the exact Mann-Whitney limit moved by one"),
+           ("tests/test_stats.py",), "the exact Mann-Whitney limit raised by one"),
+    Mutant(STATS, "EXACT_MANN_WHITNEY_LIMIT = 14", "EXACT_MANN_WHITNEY_LIMIT = 13",
+           ("tests/test_stats.py",), "the exact Mann-Whitney limit lowered by one"),
     Mutant(STATS, "df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))",
            "df = se_sq * se_sq / (a * a / n1 + b * b / (n2 - 1))", ("tests/test_stats.py",),
            "Welch-Satterthwaite df with n1 for n1 - 1"),
