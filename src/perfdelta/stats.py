@@ -5,23 +5,26 @@ sampling unit, since iterations inside one VM are autocorrelated.  One rule
 makes a VM's value, for ``compare`` and the tuner alike: :func:`per_vm_means`
 over a range of a :func:`window_matrix` row.  Three
 tests are offered: Welch's t-test, Mann-Whitney U and confidence-interval
-overlap with Student-t intervals.  Mann-Whitney counts a tie as half a pair;
-its p-values are exact for small tie-free samples, from a numpy table of
-rank-sum counts filled rank by rank, and otherwise a tie-corrected normal
-approximation with continuity correction, whose tail is taken by erfc so that
-small p-values keep their digits.  Student-t tails are regularized incomplete
-beta functions by Lentz's continued fraction, and t quantiles are Newton steps
-on them.
+overlap with Student-t intervals.  Mann-Whitney counts a tie as half a pair:
+U is a rank sum, with ranks from one argsort and one sort of each pooled row.
+A tie-free row's ranks are its sorted positions, and only rows with ties pay
+for midranks and the tie correction.  Its p-values are exact for small
+tie-free samples, from a numpy table of rank-sum counts filled rank by rank,
+and otherwise a tie-corrected normal approximation with continuity
+correction, whose tail is taken by erfc so that small p-values keep their
+digits.  Student-t tails are regularized incomplete beta functions by Lentz's
+continued fraction, and t quantiles are Newton steps on them.
 
 ``decide`` has one kernel for every shape: samples run along the last axis,
 so a batch of R sample pairs, such as the resampling trials of one tuner grid
 cell, is decided in one call.  Each test is one array expression over the
 rows: means and variances are two-pass numpy reductions, each row summed on
 its own.  p is a 1-D quantity: a batch returns none, and Welch decides its
-rows by one list of critical values c(1)..c(n1 + n2), indexed by ⌊df⌋.  The
-Student-t tail is a scalar function, taken only by a 1-D call, by
-:func:`t_quantile` and by the few rows that the critical values cannot
-place, so a batched row decides exactly as its own 1-D call would.
+rows by one list of critical values c(1)..c(n1 + n2), cached per alpha and
+n1 + n2 and indexed by ⌊df⌋.  The Student-t tail is a scalar function, taken
+only by a 1-D call, by :func:`t_quantile` and by the few rows that the
+critical values cannot place, so a batched row decides exactly as its own
+1-D call would.
 """
 
 from __future__ import annotations
@@ -256,37 +259,63 @@ def mann_whitney_approx_p(u_max, n1: int, n2: int, tie_term=0.0) -> np.ndarray:
 
 
 def _mann_whitney(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: U1, counting each (old, new) pair with old > new as one and
-    each tied pair as a half, and the p-value.  A tie-free row up to
+    """Per row: U, the smaller of U1 and n1 * n2 - U1, and the p-value.  U1
+    is the old sample's rank sum less n1(n1 + 1)/2, with tied values at
+    their midrank, which counts each (old, new) pair with old > new as one
+    and each tied pair as a half.  A tie-free row up to
     EXACT_MANN_WHITNEY_LIMIT looks its exact p-value up by u_max; every other
     row takes the tie-corrected approximation."""
     n1, n2 = old.shape[1], new.shape[1]
-    x, y = old[:, :, None], new[:, None, :]  # every (old, new) pair of a row
-    u1 = (np.add.reduce(x > y, axis=(1, 2), dtype=np.float64)
-          + np.add.reduce(x >= y, axis=(1, 2), dtype=np.float64)) / 2.0
-    ordered = np.sort(np.concatenate((old, new), axis=1), axis=1)
-    # c, the count of equal values before a position, runs 0..t-1 along a
-    # run of t equal values, and 3 * sum c(c + 1) over it is t³ - t.
-    position = np.arange(n1 + n2, dtype=np.int32)
-    starts = np.insert(ordered[:, 1:] != ordered[:, :-1], 0, True, axis=1)
-    c = position - np.maximum.accumulate(np.where(starts, position, 0), axis=1)
-    tie_term = 3.0 * (c * (c + 1)).sum(axis=1)
+    ordered = np.concatenate((old, new), axis=1)
+    is_old = ordered.argsort(axis=1) < n1  # which sorted positions hold old values
+    ordered.sort(axis=1)
+    # Twice the old sample's 0-based ranks: its sorted positions, in a
+    # tie-free row.  All sums here are of small integers, exact in float64.
+    position = np.arange(n1 + n2, dtype=np.float64)
+    twice = 2.0 * (is_old @ position)
+    differs = ordered[:, 1:] != ordered[:, :-1]
+    # The tied rows; one reduction over the whole batch when it has none.
+    rows = np.empty(0, np.intp) if differs.all() else np.flatnonzero(~differs.all(axis=1))
+    tie_term = np.zeros(len(ordered))
+    if len(rows):
+        n, ones = n1 + n2, np.ones((len(rows), 1), dtype=bool)
+        starts, ends = np.hstack((ones, differs[rows])), np.hstack((differs[rows], ones))
+        # The first and last positions of each position's run of equal values.
+        first = np.maximum.accumulate(np.where(starts, position, 0.0), axis=1)
+        last = np.minimum.accumulate(np.where(ends, position, n)[:, ::-1], axis=1)[:, ::-1]
+        midrank_shift = np.where(is_old[rows], first + last - 2.0 * position, 0.0)
+        twice[rows] += midrank_shift.sum(axis=1)
+        # c, the count of equal values before a position, runs 0..t-1 along
+        # a run of t equal values, and 3 * sum c(c + 1) over it is t³ - t.
+        c = position - first
+        tie_term[rows] = 3.0 * (c * (c + 1.0)).sum(axis=1)
+    u1 = (twice - n1 * (n1 - 1)) / 2.0
     u_max, u_min = np.maximum(u1, n1 * n2 - u1), np.minimum(u1, n1 * n2 - u1)
     if n1 + n2 > EXACT_MANN_WHITNEY_LIMIT:
         return u_min, mann_whitney_approx_p(u_max, n1, n2, tie_term)
-    free, p = tie_term == 0, np.empty_like(u_max)
-    p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp)]
-    p[~free] = mann_whitney_approx_p(u_max[~free], n1, n2, tie_term[~free])
+    p = _tie_free_p(n1, n2)[u_max.astype(np.intp)]  # a copy, by integer indexing
+    if len(rows):
+        p[rows] = mann_whitney_approx_p(u_max[rows], n1, n2, tie_term[rows])
     return u_min, p
 
 
 # --- Welch -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _critical_values(alpha: float, n: int) -> np.ndarray:
+    """c(1)..c(n), c(k) = t_quantile(1 - alpha/2, k), read-only: one list per
+    (alpha, n1 + n2), so that a batch past t_quantile's cache does not
+    compute its list anew on every call."""
+    c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n + 1)])
+    c.flags.writeable = False
+    return c
+
+
 def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row: t (0 for equal means, ±inf for two constant samples) and p.
     Given ``alpha``, a row clear of the critical values at k = ⌊df⌋ and k + 1
-    (c falls as df grows), read from one list c(1)..c(n1 + n2), takes p = 0
+    (c falls as df grows), read from the list c(1)..c(n1 + n2), takes p = 0
     or 1; the rest, and any df outside Welch's bounds [1, n1 + n2), take the
     tail."""
     a, b = v1 / n1, v2 / n2
@@ -296,7 +325,7 @@ def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     p = np.where(diff == 0, 1.0, 0.0)
     live = (diff != 0) & (se_sq != 0)
     if alpha is not None:
-        c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2 + 1)])
+        c = _critical_values(alpha, n1 + n2)
         rows = np.flatnonzero(live & (df >= 1) & (df < n1 + n2))
         k, size = df[rows].astype(np.intp), np.abs(t[rows])  # k = ⌊df⌋, as df >= 1
         below = size < c[k] * (1 - 1e-9)  # ten times t_quantile's tested error
@@ -329,7 +358,7 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
     per-row field a length-R array and no p-values; ``n_old`` and ``n_new``
     are ints for both.  A batched row decides exactly as its own 1-D call
     would: Welch screens a batch by critical values, and every other step is
-    the same code for every shape.
+    the same code for every shape.  A NaN value raises ValueError.
     """
     # C order: numpy sums a contiguous row pairwise, as it does a 1-D sample.
     old = np.ascontiguousarray(old, dtype=np.float64)
@@ -342,6 +371,8 @@ def decide(old, new, decision: DecisionConfig) -> TestOutcome:
     n1, n2 = old.shape[1], new.shape[1]
     if n1 < 2 or n2 < 2:
         raise ValueError("decide needs at least 2 values per sample")
+    if np.isnan(old).any() or np.isnan(new).any():
+        raise ValueError("decide takes no NaN values: a NaN has no order and no mean")
     (m1, v1), (m2, v2) = _mean_and_variance(old), _mean_and_variance(new)
     diff = m1 - m2
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,7 +6,8 @@ recurrences, arbitrary-precision arithmetic instead of floats,
 incomplete-beta tail probabilities instead of library survival functions, and
 one 1-D decision per resampling trial instead of one batch per grid cell.
 The whole-batch Student-t tail kernel that the compacting one replaced is
-kept verbatim, as the bit-for-bit reference for it, and so are the pure-Python
+kept verbatim, as the bit-for-bit reference for it, and so are the
+pair-tensor Mann-Whitney count that the rank sums replaced, the pure-Python
 rank-sum recurrence that the numpy count table replaced and the scalar
 SplitMix64 recurrence that the vectorized ``SplitMix64.next_block`` computes.
 """
@@ -50,6 +51,33 @@ def mann_whitney_exact_bruteforce(x, y) -> float:
         if u >= u_max:
             count_ge += 1
     return min(1.0, 2.0 * count_ge / comb(total, n1))
+
+
+def mann_whitney_by_pairs(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (R, n) batches: U and p, by the pair-tensor kernel that
+    ``stats._mann_whitney``'s rank sums replaced, kept verbatim.  U1 counts
+    every (old, new) pair of a row through two R x n1 x n2 boolean tensors,
+    and the tie term is a second pass over the sorted pooled row."""
+    from perfdelta.stats import EXACT_MANN_WHITNEY_LIMIT, _tie_free_p, mann_whitney_approx_p
+
+    n1, n2 = old.shape[1], new.shape[1]
+    x, y = old[:, :, None], new[:, None, :]  # every (old, new) pair of a row
+    u1 = (np.add.reduce(x > y, axis=(1, 2), dtype=np.float64)
+          + np.add.reduce(x >= y, axis=(1, 2), dtype=np.float64)) / 2.0
+    ordered = np.sort(np.concatenate((old, new), axis=1), axis=1)
+    # c, the count of equal values before a position, runs 0..t-1 along a
+    # run of t equal values, and 3 * sum c(c + 1) over it is t³ - t.
+    position = np.arange(n1 + n2, dtype=np.int32)
+    starts = np.insert(ordered[:, 1:] != ordered[:, :-1], 0, True, axis=1)
+    c = position - np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    tie_term = 3.0 * (c * (c + 1)).sum(axis=1)
+    u_max, u_min = np.maximum(u1, n1 * n2 - u1), np.minimum(u1, n1 * n2 - u1)
+    if n1 + n2 > EXACT_MANN_WHITNEY_LIMIT:
+        return u_min, mann_whitney_approx_p(u_max, n1, n2, tie_term)
+    free, p = tie_term == 0, np.empty_like(u_max)
+    p[free] = _tie_free_p(n1, n2)[u_max[free].astype(np.intp)]
+    p[~free] = mann_whitney_approx_p(u_max[~free], n1, n2, tie_term[~free])
+    return u_min, p
 
 
 # --- reference SplitMix64 stream ---------------------------------------------

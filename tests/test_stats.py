@@ -15,7 +15,9 @@ from conftest import make_series
 from perfdelta.model import DecisionConfig, StatTest, serialize_series
 from perfdelta.stats import (
     EXACT_MANN_WHITNEY_LIMIT,
+    _critical_values,
     _log_beta,
+    _mann_whitney,
     _mean_and_variance,
     _t_sf,
     _tie_free_p,
@@ -465,6 +467,81 @@ def test_mann_whitney_mixed_small_rows_decide_as_their_own_calls():
         if tie_free[i]:
             u_max = 36 - one.statistic
             assert one.p_value == _tie_free_p(6, 6)[int(u_max)]
+
+
+#: Values the rank kernel must order as the pair count does: spread floats,
+#: a few repeated values, signed zeros (which tie) and both infinities.
+_ranked_values = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 3.25, math.inf]),
+)
+
+
+@st.composite
+def mann_whitney_batches(draw):
+    """Two (R, n1) and (R, n2) arrays, either tie-free (all values distinct;
+    -0.0 and 0.0 count as one) or drawn from few values, so mostly tied."""
+    rows, n1, n2 = draw(st.integers(1, 6)), draw(st.integers(2, 20)), draw(st.integers(2, 20))
+    size = rows * (n1 + n2)
+    if draw(st.booleans()):
+        values = draw(st.lists(_ranked_values, min_size=size, max_size=size, unique=True))
+    else:
+        values = draw(st.lists(_ranked_values, min_size=size, max_size=size))
+    pooled = np.array(values).reshape(rows, n1 + n2)
+    return pooled[:, :n1], pooled[:, n1:]
+
+
+def _assert_ranks_count_as_the_pairs(old, new):
+    with np.errstate(divide="ignore", invalid="ignore"):  # as decide calls it
+        got, want = _mann_whitney(old, new), oracles.mann_whitney_by_pairs(old, new)
+    assert got[0].tobytes() == want[0].tobytes()  # U
+    assert got[1].tobytes() == want[1].tobytes()  # p
+
+
+@settings(max_examples=300, deadline=None)
+@given(mann_whitney_batches())
+def test_mann_whitney_rank_sums_equal_the_pair_count_bit_for_bit(batch):
+    _assert_ranks_count_as_the_pairs(*batch)
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+@pytest.mark.parametrize("n1, n2", [(2, 2), (3, 9), (6, 8), (7, 8), (9, 6), (2, 30), (30, 30),
+                                    (17, 40)])
+def test_mann_whitney_rank_sums_equal_the_pair_count_on_a_grid_of_shapes(rows, n1, n2):
+    """Tie-free, fully tied and mixed batches, on both sides of the exact
+    limit (n1 + n2 = 14 and 15)."""
+    rng = np.random.default_rng([rows, n1, n2])
+    spread = rng.normal(size=(rows, n1 + n2))
+    tied = rng.integers(0, 4, size=(rows, n1 + n2)).astype(float)
+    mixed = np.where(np.arange(rows)[:, None] % 2 == 0, spread, tied)
+    for pooled in (spread, tied, mixed, np.zeros((rows, n1 + n2))):
+        _assert_ranks_count_as_the_pairs(pooled[:, :n1], pooled[:, n1:])
+
+
+@pytest.mark.parametrize("test", list(StatTest))
+def test_decide_rejects_nan_values(test):
+    """A NaN has no order and no mean, so no test can decide on it."""
+    decision = DecisionConfig(test=test, alpha=0.01)
+    with pytest.raises(ValueError, match="NaN"):
+        decide([1.0, math.nan, 3.0], [1.0, 2.0], decision)
+    old = np.arange(12.0).reshape(3, 4)
+    new = old + 0.5
+    new[2, 1] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decide(old, new, decision)
+
+
+def test_welch_critical_values_past_t_quantiles_cache_are_computed_once():
+    """At 520 VMs a side the list c(1)..c(1040) outgrows t_quantile's cache,
+    so a second batch reads it from its own cache, read-only."""
+    assert t_quantile.cache_info().maxsize < 1040
+    old, new = np.random.default_rng(40).normal(size=(2, 3, 520))
+    decision = DecisionConfig(test=StatTest.WELCH_T, alpha=0.0123)
+    decide(old, new, decision)
+    misses = t_quantile.cache_info().misses
+    decide(old, new, decision)
+    assert t_quantile.cache_info().misses == misses
+    assert not _critical_values(0.0123, 1040).flags.writeable
 
 
 def test_a_column_major_batch_decides_as_its_rows():

@@ -48,10 +48,24 @@ MUTANTS = (
     Mutant(STATS, "k, size = df[rows].astype(np.intp), np.abs(t[rows])  # k = ⌊df⌋, as df >= 1",
            "k, size = np.ceil(df[rows]).astype(np.intp), np.abs(t[rows])",
            ("tests/test_stats.py",), "the Welch screen indexed by ⌈df⌉, not ⌊df⌋"),
-    Mutant(STATS,
-           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2 + 1)])",
-           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n1 + n2)])",
+    Mutant(STATS, "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n + 1)])",
+           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n)])",
            ("tests/test_stats.py",), "the critical values stopping at c(n1 + n2 - 1)"),
+    Mutant(STATS, "@lru_cache(maxsize=64)", "@lru_cache(maxsize=0)", ("tests/test_stats.py",),
+           "the critical values computed anew for every batch"),
+    Mutant(STATS, "midrank_shift = np.where(is_old[rows], first + last - 2.0 * position, 0.0)",
+           "midrank_shift = np.where(is_old[rows], 2.0 * first - 2.0 * position, 0.0)",
+           ("tests/test_stats.py",), "a tied old value ranked first in its run, not at its midrank"),
+    Mutant(STATS, "u1 = (twice - n1 * (n1 - 1)) / 2.0", "u1 = (twice - n1 * (n1 + 1)) / 2.0",
+           ("tests/test_stats.py",), "U1 taken with the 1-based offset n1(n1 + 1)/2 on 0-based ranks"),
+    Mutant(STATS,
+           "rows = np.empty(0, np.intp) if differs.all() else np.flatnonzero(~differs.all(axis=1))",
+           "rows = np.empty(0, np.intp)", ("tests/test_stats.py",),
+           "every Mann-Whitney row taken as tie-free"),
+    Mutant(STATS,
+           "rows = np.empty(0, np.intp) if differs.all() else np.flatnonzero(~differs.all(axis=1))",
+           "rows = np.empty(0, np.intp) if differs.any() else np.flatnonzero(~differs.all(axis=1))",
+           ("tests/test_stats.py",), "a batch with any distinct neighbours taken as tie-free"),
     Mutant(STATS, "z = (u_max - n1 * n2 / 2.0 - 0.5) / np.sqrt(variance)",
            "z = (u_max - n1 * n2 / 2.0 + 0.5) / np.sqrt(variance)", ("tests/test_stats.py",),
            "the continuity correction's sign"),
