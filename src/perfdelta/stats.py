@@ -315,7 +315,7 @@ def _critical_values(alpha: float, n: int) -> np.ndarray:
 def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row: t (0 for equal means, ±inf for two constant samples) and p.
     Given ``alpha``, a row clear of the critical values at k = ⌊df⌋ and k + 1
-    (c falls as df grows), read from the list c(1)..c(n1 + n2), takes p = 0
+    (c falls as df grows), read from one list c(1)..c(n1 + n2), takes p = 0
     or 1; the rest, and any df outside Welch's bounds [1, n1 + n2), take the
     tail."""
     a, b = v1 / n1, v2 / n2
