@@ -2,15 +2,22 @@
 
 Exit codes: 0 = success / no change, 2 = validation error, 3 = executor
 failure, 10 = change detected (``compare``), so CI gates can distinguish
-findings from failures.  Defaults mirror the selected measurement
-configuration: Mann-Whitney at alpha 0.01, 30 VMs, 49 warmup plus 49
-measurement iterations, 100,000 repetitions.
+findings from failures.  An executor failure is a child that exits
+non-zero, is killed by a signal (named in the error), or prints anything
+but a result line, output that is not UTF-8 included.  SIGTERM or SIGHUP
+to ``measure``, ``tune``, ``stddev-sweep`` or ``inject`` kills and reaps
+the running child and exits 128 + the signal's number (143 or 129) with
+no output file.  Each of these prints one ``error:`` line.  Defaults
+mirror the selected measurement configuration: Mann-Whitney at alpha
+0.01, 30 VMs, 49 warmup plus 49 measurement iterations, 100,000
+repetitions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from dataclasses import astuple, fields
@@ -350,15 +357,36 @@ def _parser() -> _Parser:
     return parser
 
 
+class _Signalled(BaseException):
+    """SIGTERM or SIGHUP, raised wherever the command was, so that a running
+    campaign kills and reaps its child as it does on any interrupt."""
+
+
+def _raise_signalled(signum, frame):
+    raise _Signalled(signal.Signals(signum))
+
+
 def main(argv: list[str] | None = None) -> None:
     """Run one command and exit with its code; a ``ValueError`` exits 2, a
-    ``CampaignError`` 3, and anything else propagates unchanged."""
+    ``CampaignError`` 3, and anything else propagates unchanged.  The
+    commands that start VMs turn SIGTERM and SIGHUP into an exit with
+    128 + the signal's number, after their child is reaped."""
     args = _parser().parse_args(argv)
+    handled = ((signal.SIGTERM, signal.SIGHUP)
+               if args.run in (_measure, _tune, _stddev_sweep, _inject) else ())
+    previous = {signum: signal.signal(signum, _raise_signalled) for signum in handled}
     try:
         code = args.run(args)
     except (CampaignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_EXECUTOR if isinstance(exc, CampaignError) else EXIT_VALIDATION
+    except _Signalled as exc:
+        (signum,) = exc.args
+        print(f"error: terminated by {signum.name}", file=sys.stderr)
+        code = 128 + signum
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     sys.exit(code)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 
@@ -61,14 +62,18 @@ def _spawn() -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        errors="replace",  # output that is not UTF-8 still reaches the checks below
     )
 
 
 def _finish(proc: subprocess.Popen, job: dict, vm_index: int, version: str | None) -> VmRun:
     """Hand an executor its job, wait for it and turn its result line into a run."""
     out, err = proc.communicate(json.dumps(job))
+    if proc.returncode < 0:
+        raise CampaignError(vm_index, f"killed by {_signal_name(-proc.returncode)}", version)
     if proc.returncode != 0:
-        raise CampaignError(vm_index, err.strip() or f"exit code {proc.returncode}", version)
+        last = err.strip().splitlines()[-1:]  # a traceback's last line names its error
+        raise CampaignError(vm_index, last[0] if last else f"exit code {proc.returncode}", version)
     lines = [line for line in out.splitlines() if line.strip()]
     if not lines:
         raise CampaignError(vm_index, "executor produced no result line", version)
@@ -81,6 +86,13 @@ def _finish(proc: subprocess.Popen, job: dict, vm_index: int, version: str | Non
     if executions != 0:
         raise CampaignError(vm_index, f"executor was not fresh (counter={executions})", version)
     return run
+
+
+def _signal_name(signum: int) -> str:
+    try:
+        return signal.Signals(signum).name
+    except ValueError:  # a real-time signal has no name
+        return f"signal {signum}"
 
 
 def _environment_metadata(clock) -> dict[str, str]:

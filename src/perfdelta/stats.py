@@ -316,12 +316,19 @@ def _welch(diff, v1, n1, v2, n2, alpha=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row: t (0 for equal means, ±inf for two constant samples) and p.
     Given ``alpha``, a row clear of the critical values at k = ⌊df⌋ and k + 1
     (c falls as df grows), read from one list c(1)..c(n1 + n2), takes p = 0
-    or 1; the rest, and any df outside Welch's bounds [1, n1 + n2), take the
-    tail."""
+    or 1; the rest, and any df outside [1, n1 + n2), take the tail.
+
+    Satterthwaite's df lies in Welch's bounds [min(n1, n2) - 1, n1 + n2 - 2].
+    Where a² or b² underflow, it rounds outside them or to 0/0; only those
+    rows take it again as 1 / (r²/(n1 - 1) + (1 - r)²/(n2 - 1)), r = a / (a + b)."""
     a, b = v1 / n1, v2 / n2
     se_sq = a + b
     t = np.where(diff == 0, 0.0, diff / np.sqrt(se_sq))
     df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))
+    outside = ~((df >= min(n1, n2) - 1) & (df <= n1 + n2 - 2))  # NaN included
+    if outside.any():
+        r = a[outside] / se_sq[outside]
+        df[outside] = 1.0 / (r * r / (n1 - 1) + (1.0 - r) * (1.0 - r) / (n2 - 1))
     p = np.where(diff == 0, 1.0, 0.0)
     live = (diff != 0) & (se_sq != 0)
     if alpha is not None:

@@ -153,9 +153,28 @@ class TunerReport:
     selection: SelectionResult
 
 
-def _f1_score(tp: int, fp: int, fn: int) -> float:
+def _cell(vms: int, iterations: int, repetitions: int, tp: int, fp: int, fn: int,
+          tn: int) -> GridCell:
+    """The cell of these counts, scored F1 = 2tp / (2tp + fp + fn), or 0 when
+    no trial was a true positive, a false positive or a false negative."""
     denominator = 2 * tp + fp + fn
-    return 2 * tp / denominator if denominator else 0.0
+    f1 = 2 * tp / denominator if denominator else 0.0
+    return GridCell(vms, iterations, repetitions, f1, tp, fp, fn, tn)
+
+
+def _equal_warmup(vms: int, iterations: int, repetitions: int) -> MeasurementConfig:
+    """The configuration a cell stands for: ``iterations`` warmup windows,
+    discarded, then as many measured ones."""
+    return MeasurementConfig(vms=vms, warmup_iterations=iterations,
+                             measurement_iterations=iterations, repetitions=repetitions)
+
+
+def _pool_config(plan: TunerPlan, repetitions: int) -> MeasurementConfig:
+    """The configuration a recorded or synthetic pool holds: twice the largest
+    grid VM count, so a same-version trial of the largest cell draws two
+    disjoint halves, and the largest iteration count, so every cell reads
+    its warmup and measured windows from the recording."""
+    return _equal_warmup(2 * max(plan.vm_grid), max(plan.iteration_grid), repetitions)
 
 
 def pool_from_series(base: MeasurementSeries, changed: MeasurementSeries) -> MeasurementPool:
@@ -192,12 +211,6 @@ def make_synthetic_pool(
     )
 
 
-def pool_vms(plan: TunerPlan) -> int:
-    """VMs in a recorded or synthetic pool: twice the largest grid value, so
-    a same-version trial of the largest cell draws two disjoint halves."""
-    return 2 * max(plan.vm_grid)
-
-
 def _pool_specs(plan: TunerPlan, kind: WorkloadKind) -> tuple[WorkloadSpec, WorkloadSpec]:
     """The base and changed workloads a pool of ``kind`` records."""
     base = WorkloadSpec(kind=kind, size=plan.size_s, seed=plan.seed)
@@ -214,25 +227,18 @@ def record_pool(
 ) -> dict[int, MeasurementPool]:
     """Measure base and changed workloads at the maximal configuration.
 
-    Runs the harness at :func:`pool_vms` VMs with ``max(iteration_grid)`` warmup
-    plus measurement iterations for each repetitions value, so every
-    sub-configuration can be resampled from the recording.  Series files are
-    persisted under ``out_dir`` when given.
+    Runs the harness at :func:`_pool_config` for each repetitions value, so
+    every sub-configuration can be resampled from the recording.  Series
+    files are persisted under ``out_dir`` when given.
     """
     from .harness import CampaignError, run_paired_campaign
 
-    max_i = max(plan.iteration_grid)
     base_spec, changed_spec = _pool_specs(plan, kind)
     pools: dict[int, MeasurementPool] = {}
     for repetitions in plan.repetitions_grid:
-        config = MeasurementConfig(
-            vms=pool_vms(plan),
-            warmup_iterations=max_i,
-            measurement_iterations=max_i,
-            repetitions=repetitions,
-        )
         try:
-            base, changed = run_paired_campaign(config, base_spec, changed_spec, clock=clock)
+            base, changed = run_paired_campaign(_pool_config(plan, repetitions), base_spec,
+                                                changed_spec, clock=clock)
         except CampaignError as exc:
             raise CampaignError(
                 exc.vm_index,
@@ -311,18 +317,7 @@ def estimate_f1(
     flags = decide(values[old_rows], values[new_rows], decision).changed
     tp = int(flags[:resamples].sum())
     fp = int(flags[resamples:].sum())
-    fn, tn = resamples - tp, resamples - fp
-
-    return GridCell(
-        vms=vms,
-        iterations=iterations,
-        repetitions=pool.repetitions,
-        f1=_f1_score(tp, fp, fn),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
-    )
+    return _cell(vms, iterations, pool.repetitions, tp, fp, resamples - tp, resamples - fp)
 
 
 def select_configuration(grid: F1Grid) -> SelectionResult:
@@ -357,12 +352,7 @@ def select_configuration(grid: F1Grid) -> SelectionResult:
         qualifiers,
         key=lambda c: (c.vms, c.iterations * c.repetitions, -c.repetitions, c.iterations),
     )
-    config = MeasurementConfig(
-        vms=chosen.vms,
-        warmup_iterations=chosen.iterations,
-        measurement_iterations=chosen.iterations,
-        repetitions=chosen.repetitions,
-    )
+    config = _equal_warmup(chosen.vms, chosen.iterations, chosen.repetitions)
     return SelectionResult(True, "selected", config, chosen)
 
 
@@ -383,22 +373,11 @@ def _estimate_grid(
 
 
 def _average_grids(grids: list[F1Grid]) -> F1Grid:
-    """Average F1 across workloads cell-by-cell; counts are summed."""
+    """Sum the workloads' counts cell by cell and score the pooled counts."""
     cells = []
     for group in zip(*(g.cells for g in grids)):
-        first = group[0]
-        cells.append(
-            GridCell(
-                vms=first.vms,
-                iterations=first.iterations,
-                repetitions=first.repetitions,
-                f1=sum(c.f1 for c in group) / len(group),
-                tp=sum(c.tp for c in group),
-                fp=sum(c.fp for c in group),
-                fn=sum(c.fn for c in group),
-                tn=sum(c.tn for c in group),
-            )
-        )
+        counts = [sum(getattr(c, name) for c in group) for name in ("tp", "fp", "fn", "tn")]
+        cells.append(_cell(group[0].vms, group[0].iterations, group[0].repetitions, *counts))
     return F1Grid(cells=tuple(cells))
 
 
@@ -409,15 +388,13 @@ def tune(plan: TunerPlan, out_dir=None) -> TunerReport:
     scored and every kind gets it.
     """
     if plan.synthetic_gamma is not None:
+        configs = [_pool_config(plan, repetitions) for repetitions in plan.repetitions_grid]
         pools = {
-            repetitions: make_synthetic_pool(
-                gamma=plan.synthetic_gamma,
-                vms=pool_vms(plan),
-                depth=2 * max(plan.iteration_grid),
-                repetitions=repetitions,
-                seed=plan.seed,
-            )
-            for repetitions in plan.repetitions_grid
+            c.repetitions: make_synthetic_pool(
+                gamma=plan.synthetic_gamma, vms=c.vms,
+                depth=c.warmup_iterations + c.measurement_iterations,
+                repetitions=c.repetitions, seed=plan.seed)
+            for c in configs
         }
         per_workload = dict.fromkeys((k.value for k in plan.workload_kinds),
                                      _estimate_grid(pools, plan))

@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +303,19 @@ def test_tune_matches_golden_files(tmp_path, test):
         assert (out / name).read_bytes() == (GOLDEN_TUNE / test / name).read_bytes(), name
 
 
+def test_golden_heatmap_rows_score_their_own_counts():
+    """Every row of every golden heatmap, per kind and average, holds the F1
+    of its own counts, read back exactly from its text."""
+    paths = sorted(GOLDEN_TUNE.glob("*/heatmap_*.csv"))
+    assert len(paths) == 6
+    for path in paths:
+        header, *rows = path.read_text().splitlines()
+        assert header == "vms,iterations,repetitions,f1,tp,fp,fn,tn"
+        for row in rows:
+            f1, tp, fp, fn = (float(v) for v in row.split(",")[3:7])
+            assert f1 == 2 * tp / (2 * tp + fp + fn), (path, row)
+
+
 def test_tune_rejects_malformed_synthetic(tmp_path):
     for value in ("3", "gamma=abc"):
         result = invoke([
@@ -576,6 +592,79 @@ def test_malformed_result_line_exits_with_executor_code(tmp_path, monkeypatch):
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith("error: executor failed for vm 0: ")
     assert "Traceback" not in result.output
+
+
+# Stand-in executor children, each a Python program that ends one way.
+CHILD_ENDINGS = {
+    "non-utf8-result": ("import sys; sys.stdout.buffer.write(bytes([255, 254, 10]))",
+                        "bad result line"),
+    "non-utf8-error": ("import sys; sys.stderr.buffer.write(bytes([255, 10])); sys.exit(1)",
+                       "\ufffd"),
+    "signal": ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by SIGKILL"),
+    "traceback": ("raise RuntimeError('boom')", "RuntimeError: boom"),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(CHILD_ENDINGS))
+def test_every_way_a_child_ends_exits_with_executor_code(tmp_path, monkeypatch, ending):
+    from perfdelta import harness
+
+    code, message = CHILD_ENDINGS[ending]
+    monkeypatch.setattr(harness, "executor_command", lambda: [sys.executable, "-c", code])
+    out = tmp_path / "f.json"
+    result = invoke(["measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: executor failed for vm 0: ")
+    assert message in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert not out.exists()
+
+
+# The parent in a subprocess, with a stand-in child that writes its pid and sleeps.
+SIGNALLED_PARENT = """
+import sys
+from perfdelta import cli, harness
+child = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(2)"
+harness.executor_command = lambda: [sys.executable, "-c", child, sys.argv[1]]
+cli.main(sys.argv[2:])
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a process that has not ended; a zombie has."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not (stat.exists() and stat.read_text().rpartition(")")[2].split()[0] == "Z")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_a_terminated_campaign_reaps_its_child_and_writes_nothing(tmp_path, signum):
+    pid_file, out = tmp_path / "child.pid", tmp_path / "f.json"
+    parent = subprocess.Popen(
+        [sys.executable, "-c", SIGNALLED_PARENT, str(pid_file),
+         "measure", "--workload", "add", "--size", "10", *ONE_VM, "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        parent.send_signal(signum)
+        stdout, stderr = parent.communicate(timeout=30)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+    assert parent.returncode == 128 + signum, stderr
+    assert (stdout, stderr) == ("", f"error: terminated by {signum.name}\n")
+    assert not out.exists()
+    deadline = time.monotonic() + 1
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(child)
 
 
 # --- document layouts ----------------------------------------------------------

@@ -587,6 +587,28 @@ def _welch_rows_at_the_margins(h: float, n2: int, alpha: float):
     raise AssertionError(f"no rows at the margins for h={h}, n2={n2}, alpha={alpha}")
 
 
+SUBNORMAL_WELCH_ROWS = (
+    np.array([[0.0, 1e-150], [0.0, 3.276263660093949e-81], [0.0, 1.9629214156836413e-81]]),
+    np.array([[5.0, 5.0], [0.0, -2.4341457926331836e-81], [0.0, -3.244356736879057e-81]]),
+)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
+def test_welch_rows_whose_df_underflows_decide_as_mpmath_says(alpha):
+    """Rows whose a² and b² underflow, so that Satterthwaite's df is NaN or
+    above n1 + n2 - 2, take their p-value from a df in Welch's bounds: the
+    first row, a plain change against a constant sample, is flagged."""
+    decision = DecisionConfig(test=StatTest.WELCH_T, alpha=alpha)
+    old, new = SUBNORMAL_WELCH_ROWS
+    want = [oracles.welch_p_highprecision(o.tolist(), n.tolist()) for o, n in zip(old, new)]
+    for o, n, p in zip(old, new, want):
+        one = decide(o, n, decision)
+        assert one.p_value == pytest.approx(p, rel=1e-12)
+        assert one.changed == (p < alpha)
+    assert decide(old, new, decision).changed.tolist() == [p < alpha for p in want] == [
+        True, False, False]
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
 def test_batched_welch_rows_near_the_critical_values_decide_as_their_own_calls(alpha):
     """A batch decides a Welch row by the critical values c(k) and c(k + 1),
@@ -612,10 +634,9 @@ def test_batched_welch_rows_near_the_critical_values_decide_as_their_own_calls(a
     groups.append((np.array([[1.0, 2, 3, 4, 5], [4] * 5, [4] * 5]),  # equal means,
                    np.array([[3.0] * 5, [4] * 5, [6] * 5])))  # two constant samples
     # Variances near the subnormal range, where rounding breaks Welch's bound
-    # df <= n1 + n2 - 2: df is NaN, 4.0 = n1 + n2, or 3.0 = n1 + n2 - 1, whose
-    # screen reads the last critical value, c(n1 + n2).
-    old = np.array([[0.0, 1e-150], [0.0, 3.276263660093949e-81], [0.0, 1.9629214156836413e-81]])
-    new = np.array([[5.0, 5.0], [0.0, -2.4341457926331836e-81], [0.0, -3.244356736879057e-81]])
+    # df <= n1 + n2 - 2: Satterthwaite's df is NaN, 4.0 = n1 + n2, or 3.0 =
+    # n1 + n2 - 1, and the kernel takes df again from a's share of a + b.
+    old, new = SUBNORMAL_WELCH_ROWS
     a, b = (_mean_and_variance(x)[1] / 2 for x in (old, new))
     with np.errstate(invalid="ignore"):
         assert np.array_equal((a + b) * (a + b) / (a * a + b * b), [np.nan, 4.0, 3.0],

@@ -174,8 +174,9 @@ def test_degenerate_always_changed_decision(monkeypatch):
 
 
 def test_f1_arithmetic_for_counts():
-    assert tuner._f1_score(99, 1, 1) == pytest.approx(0.99)
-    assert tuner._f1_score(0, 0, 0) == 0.0
+    assert tuner._cell(10, 5, 100, 99, 1, 1, 99) == GridCell(10, 5, 100, 198 / 200, 99, 1, 1, 99)
+    assert tuner._cell(10, 5, 100, 99, 1, 1, 99).f1 == pytest.approx(0.99)
+    assert tuner._cell(10, 5, 100, 0, 0, 0, 50).f1 == 0.0
 
 
 def test_counter_conservation():
@@ -508,8 +509,19 @@ def test_average_grid_combines_workloads():
     assert set(report.per_workload_grids) == {"add", "write"}
     first_avg = report.average_grid.cells[0]
     parts = [g.cells[0] for g in report.per_workload_grids.values()]
-    assert first_avg.f1 == pytest.approx(np.mean([p.f1 for p in parts]))
     assert first_avg.tp == sum(p.tp for p in parts)
+    grids = [*report.per_workload_grids.values(), report.average_grid]
+    for c in (c for grid in grids for c in grid.cells):
+        assert c.f1 == 2 * c.tp / (2 * c.tp + c.fp + c.fn)
+
+
+def test_average_grid_scores_the_pooled_counts():
+    """The average cell is the F1 of the kinds' summed counts (15, 5, 0:
+    6/7), not the mean of their F1 values (1 and 2/3: 5/6)."""
+    one = F1Grid(cells=(GridCell(10, 5, 100, 1.0, tp=10, fp=0, fn=0, tn=10),))
+    other = F1Grid(cells=(GridCell(10, 5, 100, 2 / 3, tp=5, fp=5, fn=0, tn=5),))
+    assert tuner._average_grids([one, other]).cells == (
+        GridCell(10, 5, 100, 30 / 35, tp=15, fp=5, fn=0, tn=15),)
 
 
 def test_synthetic_plan_scores_one_grid_for_every_kind(monkeypatch):

@@ -39,6 +39,7 @@ STATS = "src/perfdelta/stats.py"
 TUNER = "src/perfdelta/tuner.py"
 POWER = "src/perfdelta/power.py"
 HARNESS = "src/perfdelta/harness.py"
+CLI = "src/perfdelta/cli.py"
 
 MUTANTS = (
     # Kernels and models.
@@ -49,8 +50,8 @@ MUTANTS = (
            "k, size = np.ceil(df[rows]).astype(np.intp), np.abs(t[rows])",
            ("tests/test_stats.py",), "the Welch screen indexed by ⌈df⌉, not ⌊df⌋"),
     Mutant(STATS, "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n + 1)])",
-           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n)])",
-           ("tests/test_stats.py",), "the critical values stopping at c(n1 + n2 - 1)"),
+           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n - 1)])",
+           ("tests/test_stats.py",), "the critical values stopping at c(n1 + n2 - 2)"),
     Mutant(STATS, "@lru_cache(maxsize=64)", "@lru_cache(maxsize=0)", ("tests/test_stats.py",),
            "the critical values computed anew for every batch"),
     Mutant(STATS, "midrank_shift = np.where(is_old[rows], first + last - 2.0 * position, 0.0)",
@@ -79,6 +80,8 @@ MUTANTS = (
     Mutant(STATS, "df = se_sq * se_sq / (a * a / (n1 - 1) + b * b / (n2 - 1))",
            "df = se_sq * se_sq / (a * a / n1 + b * b / (n2 - 1))", ("tests/test_stats.py",),
            "Welch-Satterthwaite df with n1 for n1 - 1"),
+    Mutant(STATS, "if outside.any():", "if False:", ("tests/test_stats.py",),
+           "an underflowed Welch df left NaN or outside its bounds"),
     Mutant(STATS, "return totals / (stop - start) / repetitions",
            "return totals / (stop - start)", ("tests/test_stats.py",),
            "a per-VM mean per window, not per repetition"),
@@ -90,10 +93,18 @@ MUTANTS = (
            ("tests/test_power.py",), "required_vms's downward step taken on <"),
     Mutant(HARNESS, "if executions != 0:", "if executions > 1:", ("tests/test_harness.py",),
            "the freshness check loosened"),
+    Mutant(CLI,
+           "previous = {signum: signal.signal(signum, _raise_signalled) for signum in handled}",
+           "previous = {}", ("tests/test_cli.py",),
+           "no SIGTERM or SIGHUP handler, so a terminated campaign orphans its child"),
     # Selection rules.
-    Mutant(TUNER, "return 2 * tp / denominator if denominator else 0.0",
-           "return 2 * tp / denominator if denominator else 1.0", ("tests/test_tuner.py",),
+    Mutant(TUNER, "f1 = 2 * tp / denominator if denominator else 0.0",
+           "f1 = 2 * tp / denominator if denominator else 1.0", ("tests/test_tuner.py",),
            "an empty confusion matrix scored as perfect"),
+    Mutant(TUNER,
+           'counts = [sum(getattr(c, name) for c in group) for name in ("tp", "fp", "fn", "tn")]',
+           'counts = [getattr(group[0], name) for name in ("tp", "fp", "fn", "tn")]',
+           ("tests/test_tuner.py",), "the average grid counting only the first kind"),
     Mutant(TUNER, "and other.repetitions == cell.repetitions",
            "and other.repetitions >= cell.repetitions", ("tests/test_tuner.py",),
            "the monotonicity rule reading other repetitions counts"),
@@ -120,6 +131,9 @@ MUTANTS = (
 EQUIVALENT = (
     Mutant(STATS, "return t if p > 0.5 else -t", "return t if p >= 0.5 else -t", (),
            "p = 0.5 has returned 0.0 before this line"),
+    Mutant(STATS, "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n + 1)])",
+           "c = np.array([t_quantile(1.0 - alpha / 2.0, k) for k in range(1, n)])", (),
+           "since the df guard a screened df is below n1 + n2 - 1: c(n1 + n2) is never read"),
     Mutant(TUNER, "dtype = np.min_scalar_type(n_base + n_changed)",
            "dtype = np.min_scalar_type(n_base + n_changed - 1)", (),
            "the largest index stored is n_base + n_changed - 1"),
